@@ -175,23 +175,19 @@ Result<ExploreReport> ExploreCrashStates(const std::vector<TraceOp>& workload,
       }
       // One verdict event per judged image; the oracle's own mounts run
       // clock-less, so events land at t=0 in enumeration order (seq).
-      if constexpr (obs::kMetricsEnabled) {
-        obs::Tracer().RecordInstant(
-            "crashsim", "verdict", 0.0,
-            {{"plan", plan.Describe()},
-             {"roll_forward", roll_forward ? "true" : "false"},
-             {"ok", result.verdict.ok() ? "true" : "false"},
-             {"violations", std::to_string(result.verdict.violations.size())}});
-      }
+      obs::RecordInstant(
+          "crashsim", "verdict", 0.0,
+          {{"plan", plan.Describe()},
+           {"roll_forward", roll_forward ? "true" : "false"},
+           {"ok", result.verdict.ok() ? "true" : "false"},
+           {"violations", std::to_string(result.verdict.violations.size())}});
       report.results.push_back(std::move(result));
     }
   }
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Registry().GetCounter("logfs.crashsim.plans").Increment(report.plans);
-    obs::Registry().GetCounter("logfs.crashsim.states_checked").Increment(report.states_checked);
-    obs::Registry().GetCounter("logfs.crashsim.failed_states").Increment(report.failed_states);
-    obs::Registry().GetCounter("logfs.crashsim.violations").Increment(report.violations);
-  }
+  obs::Count<"logfs.crashsim.plans">(report.plans);
+  obs::Count<"logfs.crashsim.states_checked">(report.states_checked);
+  obs::Count<"logfs.crashsim.failed_states">(report.failed_states);
+  obs::Count<"logfs.crashsim.violations">(report.violations);
   return report;
 }
 

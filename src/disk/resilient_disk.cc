@@ -17,16 +17,14 @@ struct ResilientMetrics {
 ResilientMetrics& Metrics() {
   static ResilientMetrics m = [] {
     ResilientMetrics init;
-    if constexpr (obs::kMetricsEnabled) {
-      init.retries = &obs::Registry().GetCounter("logfs.resilient.retries");
-      init.recovered = &obs::Registry().GetCounter("logfs.resilient.recovered");
-      init.exhausted = &obs::Registry().GetCounter("logfs.resilient.exhausted");
-      init.media_errors = &obs::Registry().GetCounter("logfs.resilient.media_errors");
-      // Cumulative sim-time spent sleeping between retries, in microseconds.
-      // LfsFileSystem's per-op attribution diffs this around each operation
-      // to split retry backoff out of the disk component.
-      init.backoff_us = &obs::Registry().GetCounter("logfs.resilient.backoff_us");
-    }
+    init.retries = &obs::Registry().GetCounter("logfs.resilient.retries");
+    init.recovered = &obs::Registry().GetCounter("logfs.resilient.recovered");
+    init.exhausted = &obs::Registry().GetCounter("logfs.resilient.exhausted");
+    init.media_errors = &obs::Registry().GetCounter("logfs.resilient.media_errors");
+    // Cumulative sim-time spent sleeping between retries, in microseconds.
+    // LfsFileSystem's per-op attribution diffs this around each operation
+    // to split retry backoff out of the disk component.
+    init.backoff_us = &obs::Registry().GetCounter("logfs.resilient.backoff_us");
     return init;
   }();
   return m;
@@ -43,17 +41,13 @@ Status ResilientDisk::RunWithRetries(Attempt&& attempt) {
     if (status.ok()) {
       if (attempt_index > 0) {
         ++recovered_;
-        if constexpr (obs::kMetricsEnabled) {
-          Metrics().recovered->Increment();
-        }
+        Metrics().recovered->Increment();
       }
       return status;
     }
     if (status.code() == ErrorCode::kMediaError) {
       ++media_errors_;
-      if constexpr (obs::kMetricsEnabled) {
-        Metrics().media_errors->Increment();
-      }
+      Metrics().media_errors->Increment();
       return status;
     }
     if (status.code() != ErrorCode::kIoError) {
@@ -63,10 +57,8 @@ Status ResilientDisk::RunWithRetries(Attempt&& attempt) {
     if (attempt_index + 1 >= max_attempts) {
       ++exhausted_;
       ++media_errors_;
-      if constexpr (obs::kMetricsEnabled) {
-        Metrics().exhausted->Increment();
-        Metrics().media_errors->Increment();
-      }
+      Metrics().exhausted->Increment();
+      Metrics().media_errors->Increment();
       return MediaError("transient error persisted through retries: " + status.message());
     }
     if (clock_ != nullptr) {
@@ -74,10 +66,8 @@ Status ResilientDisk::RunWithRetries(Attempt&& attempt) {
     }
     backoff_seconds_ += backoff;
     ++retries_;
-    if constexpr (obs::kMetricsEnabled) {
-      Metrics().retries->Increment();
-      Metrics().backoff_us->Increment(static_cast<uint64_t>(backoff * 1e6));
-    }
+    Metrics().retries->Increment();
+    Metrics().backoff_us->Increment(static_cast<uint64_t>(backoff * 1e6));
     backoff *= policy_.backoff_multiplier;
   }
 }

@@ -86,16 +86,14 @@ Result<uint32_t> LfsCleaner::CleanVictims(std::vector<uint32_t> victims) {
     // Phase two: the normal write-back path compacts the staged blocks.
     RETURN_IF_ERROR(fs_->FlushEverything());
     for (uint32_t seg : victims) {
-      if constexpr (obs::kMetricsEnabled) {
-        // The victim is retiring from the log: record how long it lived and
-        // how hot its data ran before the state (and heat) is recycled.
-        const SegUsage& u = fs_->usage_.Get(seg);
-        if (u.allocated_at > 0.0) {
-          obs::ObserveSegmentAge((fs_->Now() - u.allocated_at) * 1e6);
-        }
-        if (u.heat_interval_ewma > 0.0) {
-          obs::ObserveSegmentHeat(u.heat_interval_ewma * 1e6);
-        }
+      // The victim is retiring from the log: record how long it lived and
+      // how hot its data ran before the state (and heat) is recycled.
+      const SegUsage& u = fs_->usage_.Get(seg);
+      if (u.allocated_at > 0.0) {
+        obs::ObserveSegmentAge((fs_->Now() - u.allocated_at) * 1e6);
+      }
+      if (u.heat_interval_ewma > 0.0) {
+        obs::ObserveSegmentHeat(u.heat_interval_ewma * 1e6);
       }
       fs_->usage_.SetState(seg, SegState::kCleanPending);
     }
@@ -114,33 +112,28 @@ Result<uint32_t> LfsCleaner::CleanVictims(std::vector<uint32_t> victims) {
     return cleaned;
   }();
   fs_->in_cleaner_ = false;
-  if constexpr (obs::kMetricsEnabled) {
-    const LfsFileSystem::CleanerStats& after = fs_->cleaner_stats_;
-    static obs::Counter& passes = obs::Registry().GetCounter("logfs.cleaner.passes");
-    static obs::Counter& cleaned = obs::Registry().GetCounter("logfs.cleaner.segments_cleaned");
-    static obs::Counter& reads = obs::Registry().GetCounter("logfs.cleaner.segment_reads");
-    static obs::Counter& examined = obs::Registry().GetCounter("logfs.cleaner.blocks_examined");
-    static obs::Counter& copied = obs::Registry().GetCounter("logfs.cleaner.live_blocks_copied");
-    passes.Increment(after.passes - before.passes);
-    cleaned.Increment(after.segments_cleaned - before.segments_cleaned);
-    reads.Increment(after.segment_reads - before.segment_reads);
-    examined.Increment(after.blocks_examined - before.blocks_examined);
-    copied.Increment(after.live_blocks_copied - before.live_blocks_copied);
-    span.AddArg("segments_read", std::to_string(after.segment_reads - before.segment_reads));
-    span.AddArg("blocks_examined", std::to_string(after.blocks_examined - before.blocks_examined));
-    span.AddArg("live_blocks_copied",
-                std::to_string(after.live_blocks_copied - before.live_blocks_copied));
-    span.AddArg("ok", result.ok() ? "true" : "false");
-    // Derived paper metrics over the cumulative run: u is the observed live
-    // fraction of everything the cleaner has examined.
-    if (examined.Value() > 0) {
-      const double u = static_cast<double>(copied.Value()) /
-                       static_cast<double>(examined.Value());
-      obs::Registry().GetGauge("logfs.cleaner.utilization").Set(u);
-      // PaperWriteCost clamps u -> 1, so the gauge stays finite (and fresh)
-      // even when every examined block turned out to be live.
-      obs::Registry().GetGauge("logfs.cleaner.write_cost").Set(PaperWriteCost(u));
-    }
+  const LfsFileSystem::CleanerStats& after = fs_->cleaner_stats_;
+  static obs::Counter& examined = obs::Registry().GetCounter("logfs.cleaner.blocks_examined");
+  static obs::Counter& copied = obs::Registry().GetCounter("logfs.cleaner.live_blocks_copied");
+  obs::Count<"logfs.cleaner.passes">(after.passes - before.passes);
+  obs::Count<"logfs.cleaner.segments_cleaned">(after.segments_cleaned - before.segments_cleaned);
+  obs::Count<"logfs.cleaner.segment_reads">(after.segment_reads - before.segment_reads);
+  examined.Increment(after.blocks_examined - before.blocks_examined);
+  copied.Increment(after.live_blocks_copied - before.live_blocks_copied);
+  span.AddArg("segments_read", std::to_string(after.segment_reads - before.segment_reads));
+  span.AddArg("blocks_examined", std::to_string(after.blocks_examined - before.blocks_examined));
+  span.AddArg("live_blocks_copied",
+              std::to_string(after.live_blocks_copied - before.live_blocks_copied));
+  span.AddArg("ok", result.ok() ? "true" : "false");
+  // Derived paper metrics over the cumulative run: u is the observed live
+  // fraction of everything the cleaner has examined.
+  if (examined.Value() > 0) {
+    const double u = static_cast<double>(copied.Value()) /
+                     static_cast<double>(examined.Value());
+    obs::Registry().GetGauge("logfs.cleaner.utilization").Set(u);
+    // PaperWriteCost clamps u -> 1, so the gauge stays finite (and fresh)
+    // even when every examined block turned out to be live.
+    obs::Registry().GetGauge("logfs.cleaner.write_cost").Set(PaperWriteCost(u));
   }
   return result;
 }

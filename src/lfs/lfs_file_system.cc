@@ -59,17 +59,15 @@ Status LfsFileSystem::Format(BlockDevice* device, const LfsParams& params) {
   std::vector<std::byte> region(static_cast<size_t>(sb.checkpoint_region_blocks) *
                                 sb.block_size);
   RETURN_IF_ERROR(EncodeCheckpoint(ckpt, region));
-  if constexpr (obs::kMetricsEnabled) {
-    // Seed region A with an empty black-box trailer so that from the very
-    // first post-format write stream, at least one region always holds a
-    // complete, CRC-valid telemetry ring (the crashsim sweep relies on it).
-    obs::TelemetrySampler empty;
-    const size_t payload = CheckpointPayloadBytes(ckpt);
-    std::vector<std::byte> blob =
-        empty.SerializeRing(BlackBoxCapacity(region.size(), payload));
-    if (!blob.empty()) {
-      (void)EmbedBlackBox(region, payload, blob);
-    }
+  // Seed region A with an empty black-box trailer so that from the very
+  // first post-format write stream, at least one region always holds a
+  // complete, CRC-valid telemetry ring (the crashsim sweep relies on it).
+  obs::TelemetrySampler empty;
+  const size_t payload = CheckpointPayloadBytes(ckpt);
+  std::vector<std::byte> blob =
+      empty.SerializeRing(BlackBoxCapacity(region.size(), payload));
+  if (!blob.empty()) {
+    (void)EmbedBlackBox(region, payload, blob);
   }
   RETURN_IF_ERROR(
       device->WriteSectors((1ull) * sb.SectorsPerBlock(), region, IoOptions{.synchronous = true}));
@@ -177,35 +175,29 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mount(BlockDevice* device,
       best = std::move(candidate);
       best_region = r;
     }
-    if constexpr (obs::kMetricsEnabled) {
-      // Continue the flight recorder's numbering across remounts, else the
-      // fresh sampler would restart at seq 1 and lose the "highest seq
-      // wins" race against rings written before this mount.
-      Result<std::vector<std::byte>> blob = ExtractBlackBox(region);
-      if (blob.ok()) {
-        Result<obs::TelemetryRing> ring = obs::TelemetryRing::Decode(*blob);
-        if (ring.ok()) {
-          max_ring_seq = std::max(max_ring_seq, ring->seq);
-        }
+    // Continue the flight recorder's numbering across remounts, else the
+    // fresh sampler would restart at seq 1 and lose the "highest seq
+    // wins" race against rings written before this mount.
+    Result<std::vector<std::byte>> blob = ExtractBlackBox(region);
+    if (blob.ok()) {
+      Result<obs::TelemetryRing> ring = obs::TelemetryRing::Decode(*blob);
+      if (ring.ok()) {
+        max_ring_seq = std::max(max_ring_seq, ring->seq);
       }
     }
   }
-  if constexpr (obs::kMetricsEnabled) {
-    if (max_ring_seq > 0) {
-      fs->sampler_.SeedSequence(max_ring_seq + 1);
-    }
+  if (max_ring_seq > 0) {
+    fs->sampler_.SeedSequence(max_ring_seq + 1);
   }
   if (!best.ok()) {
     return best.status();
   }
   RETURN_IF_ERROR(fs->LoadFromCheckpoint(*best));
   fs->next_ckpt_region_ = best_region == 0 ? 1 : 0;
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Registry().GetCounter("logfs.recovery.mounts").Increment();
-    obs::Tracer().RecordInstant("recovery", "checkpoint_select", fs->Now(),
-                                {{"region", std::to_string(best_region)},
-                                 {"sequence", std::to_string(best->sequence)}});
-  }
+  obs::Count<"logfs.recovery.mounts">();
+  obs::RecordInstant("recovery", "checkpoint_select", fs->Now(),
+                     {{"region", std::to_string(best_region)},
+                      {"sequence", std::to_string(best->sequence)}});
 
   if (options.roll_forward) {
     RETURN_IF_ERROR(fs->RollForward());
@@ -265,10 +257,7 @@ Status LfsFileSystem::VerifyBlockChecksum(DiskAddr addr, std::span<const std::by
   if (it == block_crcs_.end() || Crc32(block) == it->second) {
     return OkStatus();
   }
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& failures = obs::Registry().GetCounter("logfs.lfs.checksum_failures");
-    failures.Increment();
-  }
+  obs::Count<"logfs.lfs.checksum_failures">();
   QuarantineSegment(SegmentOfAddr(addr));
   return CorruptedError("block checksum mismatch (silent corruption)");
 }
@@ -278,9 +267,6 @@ Status LfsFileSystem::VerifyBlockChecksum(DiskAddr addr, std::span<const std::by
 namespace {
 
 uint64_t BackoffMicros() {
-  if constexpr (!obs::kMetricsEnabled) {
-    return 0;
-  }
   // Maintained by ResilientDisk; reading it through the registry keeps the
   // attribution correct however the device decorators are stacked.
   static obs::Counter& backoff =
@@ -295,10 +281,6 @@ uint64_t Micros(double seconds) {
 }  // namespace
 
 LfsFileSystem::OpScope::OpScope(LfsFileSystem* fs, const char* name) : fs_(fs) {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)name;
-    return;
-  }
   if (fs_->op_depth_++ > 0) {
     return;  // Internal reentry: attribute to the outermost op.
   }
@@ -312,9 +294,6 @@ LfsFileSystem::OpScope::OpScope(LfsFileSystem* fs, const char* name) : fs_(fs) {
 }
 
 LfsFileSystem::OpScope::~OpScope() {
-  if constexpr (!obs::kMetricsEnabled) {
-    return;
-  }
   --fs_->op_depth_;
   if (!active_) {
     return;
@@ -359,11 +338,10 @@ LfsFileSystem::OpScope::~OpScope() {
         {"cache_hits", std::to_string(hits)},
         {"cache_misses", std::to_string(misses)}};
     if (ctx.active()) {
-      obs::Tracer().RecordSpanIds("op", a.name, a.start, end, ctx.trace_id,
-                                  obs::Tracer().NextId(), ctx.span_id, {},
-                                  std::move(args));
+      obs::RecordSpanIds("op", a.name, a.start, end, ctx.trace_id, obs::MintSpanId(ctx),
+                         ctx.span_id, {}, std::move(args));
     } else {
-      obs::Tracer().RecordSpan("op", a.name, a.start, end, std::move(args));
+      obs::RecordSpan("op", a.name, a.start, end, std::move(args));
     }
   }
 }
@@ -388,10 +366,6 @@ const LfsFileSystem::OpMetricHandles& LfsFileSystem::OpHandles(const char* name)
 }
 
 void LfsFileSystem::AddOpDiskSeconds(double seconds) {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)seconds;
-    return;
-  }
   // Device time inside the cleaner belongs to the cleaner-interference
   // bucket, which is measured as one clock delta around the whole pass.
   if (op_depth_ > 0 && !in_cleaner_ && seconds > 0.0) {
@@ -400,10 +374,6 @@ void LfsFileSystem::AddOpDiskSeconds(double seconds) {
 }
 
 void LfsFileSystem::AddOpCleanerSeconds(double seconds) {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)seconds;
-    return;
-  }
   if (op_depth_ > 0 && seconds > 0.0) {
     op_attr_.cleaner_seconds += seconds;
   }
@@ -425,14 +395,10 @@ void LfsFileSystem::QuarantineSegment(uint32_t seg) {
     return;
   }
   usage_.SetState(seg, SegState::kQuarantined);
-  if constexpr (obs::kMetricsEnabled) {
-    obs::RecordSegLifecycle(obs::SegLifecycle::kQuarantined);
-    static obs::Counter& quarantined =
-        obs::Registry().GetCounter("logfs.lfs.segments_quarantined");
-    quarantined.Increment();
-    obs::Tracer().RecordInstant("lfs", "quarantine", Now(),
-                                {{"segment", std::to_string(seg)}});
-  }
+  obs::RecordSegLifecycle(obs::SegLifecycle::kQuarantined);
+  obs::Count<"logfs.lfs.segments_quarantined">();
+  obs::RecordInstant("lfs", "quarantine", Now(),
+                     {{"segment", std::to_string(seg)}});
 }
 
 Status LfsFileSystem::LoadBlockCrcIndex() {
@@ -738,12 +704,10 @@ Status LfsFileSystem::AdvanceSegment() {
   const uint32_t old_segment = builder_.segment();
   if (usage_.Get(old_segment).state == SegState::kActive) {
     usage_.SetState(old_segment, SegState::kDirty);
-    if constexpr (obs::kMetricsEnabled) {
-      obs::RecordSegLifecycle(obs::SegLifecycle::kSealed);
-      const double allocated_at = usage_.Get(old_segment).allocated_at;
-      if (allocated_at > 0.0) {
-        obs::ObserveSegmentAge((Now() - allocated_at) * 1e6);
-      }
+    obs::RecordSegLifecycle(obs::SegLifecycle::kSealed);
+    const double allocated_at = usage_.Get(old_segment).allocated_at;
+    if (allocated_at > 0.0) {
+      obs::ObserveSegmentAge((Now() - allocated_at) * 1e6);
     }
   }
   Result<uint32_t> next = usage_.PickClean();
@@ -752,9 +716,7 @@ Status LfsFileSystem::AdvanceSegment() {
   }
   usage_.SetState(*next, SegState::kActive);
   usage_.NoteAllocated(*next, Now());
-  if constexpr (obs::kMetricsEnabled) {
-    obs::RecordSegLifecycle(obs::SegLifecycle::kAllocated);
-  }
+  obs::RecordSegLifecycle(obs::SegLifecycle::kAllocated);
   builder_.StartAt(*next, 0);
   return OkStatus();
 }
@@ -816,13 +778,11 @@ Status LfsFileSystem::FlushPartial() {
   for (const SegmentBuilder::FlushedBlock& fb : builder_.last_flush()) {
     block_crcs_[fb.addr] = fb.crc;
   }
-  if constexpr (obs::kMetricsEnabled) {
-    static constexpr double kLatencyBounds[] = {0.0001, 0.001, 0.01, 0.05, 0.1, 0.5};
-    static obs::Histogram& latency =
-        obs::Registry().GetHistogram("logfs.segwriter.flush_seconds", kLatencyBounds);
-    latency.Observe(Now() - flush_start);
-    obs::Tracer().RecordSpan("segwriter", "flush", flush_start, Now());
-  }
+  static constexpr double kLatencyBounds[] = {0.0001, 0.001, 0.01, 0.05, 0.1, 0.5};
+  static obs::Histogram& latency =
+      obs::Registry().GetHistogram("logfs.segwriter.flush_seconds", kLatencyBounds);
+  latency.Observe(Now() - flush_start);
+  obs::RecordSpan("segwriter", "flush", flush_start, Now());
   staged_pins_.clear();
   return OkStatus();
 }
@@ -862,13 +822,10 @@ void LfsFileSystem::CollectSegmentUtilization(std::vector<double>* out) const {
 }
 
 void LfsFileSystem::PublishSpaceTelemetry() {
-  if constexpr (!obs::kMetricsEnabled) {
-    return;
-  }
-  std::vector<double> utils;
-  utils.reserve(sb_.num_segments);
-  CollectSegmentUtilization(&utils);
-  obs::PublishUtilization(utils);
+  obs::PublishUtilizationOf([this](std::vector<double>* utils) {
+    utils->reserve(sb_.num_segments);
+    CollectSegmentUtilization(utils);
+  });
 }
 
 // --- Write-back machinery -----------------------------------------------------------
@@ -986,12 +943,8 @@ Status LfsFileSystem::FlushDirtyInodes() {
       imap_.SetLocation(ino, addr, static_cast<uint16_t>(k));
       SetInodeClean(&inodes_.at(ino));
     }
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& blocks = obs::Registry().GetCounter("logfs.imap.inode_blocks_written");
-      static obs::Counter& flushed = obs::Registry().GetCounter("logfs.imap.inodes_flushed");
-      blocks.Increment();
-      flushed.Increment(count);
-    }
+    obs::Count<"logfs.imap.inode_blocks_written">();
+    obs::Count<"logfs.imap.inodes_flushed">(count);
   }
   return OkStatus();
 }
@@ -1007,10 +960,7 @@ Status LfsFileSystem::FlushPendingFrees() {
     RETURN_IF_ERROR(AppendToLogDeferred(BlockKind::kMetaLog, 0, 0, 0, &block).status());
     RETURN_IF_ERROR(EncodeMetaLogBlock(
         std::span<const FreeRecord>(pending_frees_).subspan(start, count), block));
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& blocks = obs::Registry().GetCounter("logfs.lfs.meta_log_blocks");
-      blocks.Increment();
-    }
+    obs::Count<"logfs.lfs.meta_log_blocks">();
   }
   pending_frees_.clear();
   return OkStatus();
@@ -1032,15 +982,13 @@ Status LfsFileSystem::WriteCheckpointRegion(const CheckpointRecord& ckpt) {
   std::vector<std::byte> region(static_cast<size_t>(sb_.checkpoint_region_blocks) *
                                 BlockSize());
   RETURN_IF_ERROR(EncodeCheckpoint(ckpt, region));
-  if constexpr (obs::kMetricsEnabled) {
-    // Stow the flight recorder in the region's tail slack: the region is
-    // written as one request either way, so the black box costs no I/O.
-    const size_t payload = CheckpointPayloadBytes(ckpt);
-    std::vector<std::byte> blob =
-        sampler_.SerializeRing(BlackBoxCapacity(region.size(), payload));
-    if (!blob.empty()) {
-      (void)EmbedBlackBox(region, payload, blob);
-    }
+  // Stow the flight recorder in the region's tail slack: the region is
+  // written as one request either way, so the black box costs no I/O.
+  const size_t payload = CheckpointPayloadBytes(ckpt);
+  std::vector<std::byte> blob =
+      sampler_.SerializeRing(BlackBoxCapacity(region.size(), payload));
+  if (!blob.empty()) {
+    (void)EmbedBlackBox(region, payload, blob);
   }
   auto region_sector = [&](uint32_t r) {
     return (1ull + static_cast<uint64_t>(r) * sb_.checkpoint_region_blocks) *
@@ -1070,11 +1018,7 @@ Status LfsFileSystem::WriteCheckpointRegion(const CheckpointRecord& ckpt) {
   if (second.ok()) {
     next_ckpt_region_ = failed;
     obs::RecordWrite(RegionIoSource(), region.size());
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& failovers =
-          obs::Registry().GetCounter("logfs.lfs.ckpt_region_failovers");
-      failovers.Increment();
-    }
+    obs::Count<"logfs.lfs.ckpt_region_failovers">();
     return OkStatus();
   }
   if (second.code() == ErrorCode::kCrashed) {
@@ -1088,18 +1032,17 @@ Status LfsFileSystem::WriteCheckpointRegion(const CheckpointRecord& ckpt) {
   // writes.
   PersistBlackBoxNow();
   read_only_ = true;
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& demotions =
-        obs::Registry().GetCounter("logfs.lfs.readonly_demotions");
-    demotions.Increment();
-    obs::Tracer().RecordInstant("lfs", "readonly_demotion", Now(), {});
-  }
+  obs::Count<"logfs.lfs.readonly_demotions">();
+  obs::RecordInstant("lfs", "readonly_demotion", Now(), {});
   return MediaError("checkpoint write failed on both regions; mount is now read-only: " +
                     first.message());
 }
 
 void LfsFileSystem::PersistBlackBoxNow() {
-  if constexpr (!obs::kMetricsEnabled) {
+  // Nothing recorded, nothing to land: every checkpoint samples first, so
+  // this holds only when metrics are compiled out, and then neither region
+  // is read.
+  if (sampler_.total_samples() == 0) {
     return;
   }
   const size_t region_bytes =
@@ -1158,10 +1101,7 @@ Status LfsFileSystem::Checkpoint() {
     AccountReplace(imap_block_addrs_[i], addr, BlockSize());
     imap_block_addrs_[i] = addr;
     imap_.ClearBlockDirty(i);
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& rewrites = obs::Registry().GetCounter("logfs.imap.blocks_rewritten");
-      rewrites.Increment();
-    }
+    obs::Count<"logfs.imap.blocks_rewritten">();
   }
 
   // Rewrite dirty segment-usage blocks. Their contents depend on the disk
@@ -1226,10 +1166,7 @@ Status LfsFileSystem::Checkpoint() {
     RETURN_IF_ERROR(usage_.EncodeBlock(i, buffer));
     usage_.ClearBlockDirty(i);
   }
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& rewrites = obs::Registry().GetCounter("logfs.usage.blocks_rewritten");
-    rewrites.Increment(deferred.size());
-  }
+  obs::Count<"logfs.usage.blocks_rewritten">(deferred.size());
   RETURN_IF_ERROR(FlushPartial());
 
   // One guaranteed sample per checkpoint, taken after the flushes so the
@@ -1257,29 +1194,25 @@ Status LfsFileSystem::Checkpoint() {
   // come back quarantined instead of clean.
   const uint32_t pending_before = usage_.CountState(SegState::kCleanPending);
   const std::vector<uint32_t> quarantined = usage_.CommitPendingClean();
-  if constexpr (obs::kMetricsEnabled) {
-    // Lifecycle accounting: cleaner-emptied segments become "cleaned" at the
-    // checkpoint that commits them. Recovery's terminal checkpoint merely
-    // re-promotes pending state left over from before the crash — replaying
-    // it would double-count, so it is excluded.
-    if (!in_recovery_) {
-      const uint32_t cleaned =
-          pending_before - static_cast<uint32_t>(quarantined.size());
-      for (uint32_t i = 0; i < cleaned; ++i) {
-        obs::RecordSegLifecycle(obs::SegLifecycle::kCleaned);
-      }
-      for (size_t i = 0; i < quarantined.size(); ++i) {
-        obs::RecordSegLifecycle(obs::SegLifecycle::kQuarantined);
-      }
+  // Lifecycle accounting: cleaner-emptied segments become "cleaned" at the
+  // checkpoint that commits them. Recovery's terminal checkpoint merely
+  // re-promotes pending state left over from before the crash — replaying
+  // it would double-count, so it is excluded.
+  if (!in_recovery_) {
+    const uint32_t cleaned =
+        pending_before - static_cast<uint32_t>(quarantined.size());
+    for (uint32_t i = 0; i < cleaned; ++i) {
+      obs::RecordSegLifecycle(obs::SegLifecycle::kCleaned);
     }
-    if (!quarantined.empty()) {
-      static obs::Counter& counter =
-          obs::Registry().GetCounter("logfs.lfs.segments_quarantined");
-      counter.Increment(quarantined.size());
-      for (uint32_t seg : quarantined) {
-        obs::Tracer().RecordInstant("lfs", "quarantine", Now(),
-                                    {{"segment", std::to_string(seg)}});
-      }
+    for (size_t i = 0; i < quarantined.size(); ++i) {
+      obs::RecordSegLifecycle(obs::SegLifecycle::kQuarantined);
+    }
+  }
+  if (!quarantined.empty()) {
+    obs::Count<"logfs.lfs.segments_quarantined">(quarantined.size());
+    for (uint32_t seg : quarantined) {
+      obs::RecordInstant("lfs", "quarantine", Now(),
+                         {{"segment", std::to_string(seg)}});
     }
   }
   last_checkpoint_time_ = Now();
@@ -1287,10 +1220,7 @@ Status LfsFileSystem::Checkpoint() {
   // Everything mutated before this point is now reachable from the
   // checkpoint: the durable horizon catches up to the mutation counter.
   synced_seq_ = mutation_seq_;
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& checkpoints = obs::Registry().GetCounter("logfs.lfs.checkpoints");
-    checkpoints.Increment();
-  }
+  obs::Count<"logfs.lfs.checkpoints">();
   return OkStatus();
 }
 
@@ -1366,13 +1296,11 @@ Status LfsFileSystem::RollForward() {
     ++rolled_forward_partials_;
     found.erase(it);
   }
-  if constexpr (obs::kMetricsEnabled) {
-    const uint32_t applied = rolled_forward_partials_ - rolled_before;
-    obs::Registry().GetCounter("logfs.recovery.segments_scanned").Increment(sb_.num_segments);
-    obs::Registry().GetCounter("logfs.recovery.rolled_partials").Increment(applied);
-    roll_span.AddArg("segments_scanned", std::to_string(sb_.num_segments));
-    roll_span.AddArg("partials_applied", std::to_string(applied));
-  }
+  const uint32_t applied = rolled_forward_partials_ - rolled_before;
+  obs::Count<"logfs.recovery.segments_scanned">(sb_.num_segments);
+  obs::Count<"logfs.recovery.rolled_partials">(applied);
+  roll_span.AddArg("segments_scanned", std::to_string(sb_.num_segments));
+  roll_span.AddArg("partials_applied", std::to_string(applied));
   if (!advanced) {
     return OkStatus();
   }
@@ -1387,10 +1315,7 @@ Status LfsFileSystem::RollForward() {
 Status LfsFileSystem::ApplyRolledPartial(const SegmentSummary& summary, uint32_t segment,
                                          uint32_t offset,
                                          std::span<const std::byte> content) {
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& replayed = obs::Registry().GetCounter("logfs.recovery.replayed_records");
-    replayed.Increment(summary.entries.size());
-  }
+  obs::Count<"logfs.recovery.replayed_records">(summary.entries.size());
   for (size_t i = 0; i < summary.entries.size(); ++i) {
     const SummaryEntry& entry = summary.entries[i];
     const DiskAddr block_addr = sb_.SegmentBlockSector(segment, offset + 1 +
@@ -1698,21 +1623,12 @@ Result<LfsFileSystem::ScrubReport> LfsFileSystem::Scrub(uint32_t max_segments) {
       }
     }
   }
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& scanned = obs::Registry().GetCounter("logfs.scrub.segments_scanned");
-    static obs::Counter& verified = obs::Registry().GetCounter("logfs.scrub.blocks_verified");
-    static obs::Counter& failures = obs::Registry().GetCounter("logfs.scrub.checksum_failures");
-    static obs::Counter& media = obs::Registry().GetCounter("logfs.scrub.media_errors");
-    static obs::Counter& quarantined =
-        obs::Registry().GetCounter("logfs.scrub.segments_quarantined");
-    static obs::Counter& salvaged = obs::Registry().GetCounter("logfs.scrub.blocks_salvaged");
-    scanned.Increment(report.segments_scanned);
-    verified.Increment(report.blocks_verified);
-    failures.Increment(report.checksum_failures);
-    media.Increment(report.media_errors);
-    quarantined.Increment(report.segments_quarantined);
-    salvaged.Increment(report.blocks_salvaged);
-  }
+  obs::Count<"logfs.scrub.segments_scanned">(report.segments_scanned);
+  obs::Count<"logfs.scrub.blocks_verified">(report.blocks_verified);
+  obs::Count<"logfs.scrub.checksum_failures">(report.checksum_failures);
+  obs::Count<"logfs.scrub.media_errors">(report.media_errors);
+  obs::Count<"logfs.scrub.segments_quarantined">(report.segments_quarantined);
+  obs::Count<"logfs.scrub.blocks_salvaged">(report.blocks_salvaged);
   return report;
 }
 

@@ -699,10 +699,7 @@ Status LfsFileSystem::SyncAsOf(uint64_t seq) {
   // lets N clients' commits racing into the server collapse into one
   // segment flush.
   if (seq <= synced_seq_) {
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& coalesced = obs::Registry().GetCounter("logfs.sync.coalesced");
-      coalesced.Increment();
-    }
+    obs::Count<"logfs.sync.coalesced">();
     return OkStatus();
   }
   return Sync();

@@ -9,18 +9,6 @@
 #include "src/util/serializer.h"
 
 namespace logfs {
-namespace {
-
-void CountIntent(const char* name, uint64_t n = 1) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Registry().GetCounter(name).Increment(n);
-  } else {
-    (void)name;
-    (void)n;
-  }
-}
-
-}  // namespace
 
 Status EncodeIntentSlot(const IntentRecord& rec, IntentState state,
                         std::span<std::byte> slot) {
@@ -111,7 +99,7 @@ Result<std::vector<LoadedIntent>> IntentLog::LoadAll() {
         return read;
       }
       slots_[slot].state = SlotState::kBad;
-      CountIntent("logfs.intent.slot_read_errors");
+      obs::Count<"logfs.intent.slot_read_errors">();
       continue;
     }
     auto decoded = DecodeIntentSlot(buf);
@@ -176,14 +164,14 @@ Result<uint32_t> IntentLog::Publish(IntentRecord* rec) {
       }
       // Persistent media failure on this slot: stop using it, try another.
       slots_[slot].state = SlotState::kBad;
-      CountIntent("logfs.intent.slot_write_errors");
+      obs::Count<"logfs.intent.slot_write_errors">();
       continue;
     }
     ++next_op_id_;
     slots_[slot].state = SlotState::kPublished;
     slots_[slot].rec = *rec;
     slots_[slot].covers.clear();
-    CountIntent("logfs.intent.published");
+    obs::Count<"logfs.intent.published">();
     return slot;
   }
   bool any_live = false;
@@ -194,7 +182,7 @@ Result<uint32_t> IntentLog::Publish(IntentRecord* rec) {
     // Every free slot failed its write — or no slot is free and none holds
     // a live intent (they are all media-dead): the region is unusable, and
     // no amount of draining can help. The caller aborts the op unstarted.
-    CountIntent("logfs.intent.media_aborts");
+    obs::Count<"logfs.intent.media_aborts">();
     return MediaError("intent region unwritable; cross-shard operation aborted");
   }
   return BusyError("intent ring full");
@@ -235,11 +223,11 @@ Status IntentLog::RetireCovered(std::span<const uint64_t> synced_seqs) {
         return written;
       }
       s.state = SlotState::kBad;
-      CountIntent("logfs.intent.slot_write_errors");
+      obs::Count<"logfs.intent.slot_write_errors">();
       continue;
     }
     s.state = SlotState::kFree;
-    CountIntent("logfs.intent.retired");
+    obs::Count<"logfs.intent.retired">();
   }
   return OkStatus();
 }
@@ -253,12 +241,12 @@ Status IntentLog::RetireSlot(uint32_t slot, const IntentRecord& rec) {
   if (!written.ok()) {
     if (written.code() != ErrorCode::kCrashed) {
       slots_[slot].state = SlotState::kBad;
-      CountIntent("logfs.intent.slot_write_errors");
+      obs::Count<"logfs.intent.slot_write_errors">();
     }
     return written;
   }
   slots_[slot].state = SlotState::kFree;
-  CountIntent("logfs.intent.retired");
+  obs::Count<"logfs.intent.retired">();
   return OkStatus();
 }
 

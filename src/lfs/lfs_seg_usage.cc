@@ -25,11 +25,7 @@ void SegmentUsageTable::AddLive(uint32_t seg, int64_t delta_bytes) {
     // Double-decrement guard: clamp instead of wrapping the uint32 (which
     // would make this segment look maximally live and starve the cleaner of
     // its best victim). Counted so the anomaly stays visible.
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& clamps =
-          obs::Registry().GetCounter("logfs.usage.underflow_clamps");
-      clamps.Increment();
-    }
+    obs::Count<"logfs.usage.underflow_clamps">();
     next = 0;
   }
   usage.live_bytes = static_cast<uint32_t>(next);

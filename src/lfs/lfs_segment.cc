@@ -210,9 +210,7 @@ Result<DiskAddr> SegmentBuilder::AppendDeferred(BlockKind kind, uint32_t ino, ui
   }
   const uint32_t block_offset = start_offset_ + 1 + static_cast<uint32_t>(entries_.size());
   entries_.push_back(SummaryEntry{kind, ino, version, offset});
-  if constexpr (obs::kMetricsEnabled) {
-    entry_sources_.push_back(EntrySource(kind));
-  }
+  entry_sources_.push_back(EntrySource(kind));
   const size_t pos = buffer_.size();
   // A reallocation here would dangle every span previously handed out and
   // every slice in extents_; the constructor's reserve makes it impossible.
@@ -235,9 +233,7 @@ Result<DiskAddr> SegmentBuilder::AppendExternal(BlockKind kind, uint32_t ino, ui
   }
   const uint32_t block_offset = start_offset_ + 1 + static_cast<uint32_t>(entries_.size());
   entries_.push_back(SummaryEntry{kind, ino, version, offset});
-  if constexpr (obs::kMetricsEnabled) {
-    entry_sources_.push_back(EntrySource(kind));
-  }
+  entry_sources_.push_back(EntrySource(kind));
   extents_.push_back(data);
   return sb_.SegmentBlockSector(segment_, block_offset);
 }
@@ -276,44 +272,39 @@ Status SegmentBuilder::Flush(uint64_t seq, double timestamp) {
   // Per-flush (never per-append) accounting: one partial, its block count,
   // and the fill fraction of an entry-capacity'd summary. Handles are
   // resolved once per process; the increments are relaxed atomic adds.
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& partials = obs::Registry().GetCounter("logfs.segwriter.partials_flushed");
-    static obs::Counter& blocks = obs::Registry().GetCounter("logfs.segwriter.blocks_written");
-    static obs::Counter& bytes = obs::Registry().GetCounter("logfs.segwriter.bytes_written");
-    static constexpr double kFillBounds[] = {0.1, 0.25, 0.5, 0.75, 0.9, 1.0};
-    static obs::Histogram& fill =
-        obs::Registry().GetHistogram("logfs.segwriter.partial_fill", kFillBounds);
-    partials.Increment();
-    blocks.Increment(entries_.size());
-    bytes.Increment((1 + entries_.size()) * sb_.block_size);
-    fill.Observe(static_cast<double>(entries_.size()) /
-                 static_cast<double>(SummaryCapacity(sb_.block_size)));
-    // Provenance attribution (DESIGN.md §6j): content bytes split per entry
-    // by the class captured at append time; the single device-write op and
-    // the summary block go to the partial's dominant class — the highest
-    // non-foreground class present, else fg_data whenever the partial
-    // carried any data block. Σ over classes stays exactly one op and
-    // (1 + entries) * block_size bytes per flush.
-    uint64_t class_bytes[obs::kIoSourceCount] = {};
-    obs::IoSource op_source = obs::IoSource::kForegroundMeta;
-    bool any_data = false;
-    for (obs::IoSource source : entry_sources_) {
-      class_bytes[static_cast<size_t>(source)] += sb_.block_size;
-      if (source == obs::IoSource::kForegroundData) {
-        any_data = true;
-      } else if (static_cast<uint8_t>(source) > static_cast<uint8_t>(op_source)) {
-        op_source = source;
-      }
+  static constexpr double kFillBounds[] = {0.1, 0.25, 0.5, 0.75, 0.9, 1.0};
+  static obs::Histogram& fill =
+      obs::Registry().GetHistogram("logfs.segwriter.partial_fill", kFillBounds);
+  obs::Count<"logfs.segwriter.partials_flushed">();
+  obs::Count<"logfs.segwriter.blocks_written">(entries_.size());
+  obs::Count<"logfs.segwriter.bytes_written">((1 + entries_.size()) * sb_.block_size);
+  fill.Observe(static_cast<double>(entries_.size()) /
+               static_cast<double>(SummaryCapacity(sb_.block_size)));
+  // Provenance attribution (DESIGN.md §6j): content bytes split per entry
+  // by the class captured at append time; the single device-write op and
+  // the summary block go to the partial's dominant class — the highest
+  // non-foreground class present, else fg_data whenever the partial
+  // carried any data block. Σ over classes stays exactly one op and
+  // (1 + entries) * block_size bytes per flush.
+  uint64_t class_bytes[obs::kIoSourceCount] = {};
+  obs::IoSource op_source = obs::IoSource::kForegroundMeta;
+  bool any_data = false;
+  for (obs::IoSource source : entry_sources_) {
+    class_bytes[static_cast<size_t>(source)] += sb_.block_size;
+    if (source == obs::IoSource::kForegroundData) {
+      any_data = true;
+    } else if (static_cast<uint8_t>(source) > static_cast<uint8_t>(op_source)) {
+      op_source = source;
     }
-    if (op_source == obs::IoSource::kForegroundMeta && any_data) {
-      op_source = obs::IoSource::kForegroundData;
-    }
-    class_bytes[static_cast<size_t>(op_source)] += sb_.block_size;  // Summary.
-    obs::RecordWriteOp(op_source);
-    for (size_t i = 0; i < obs::kIoSourceCount; ++i) {
-      if (class_bytes[i] != 0) {
-        obs::RecordWriteBytes(static_cast<obs::IoSource>(i), class_bytes[i]);
-      }
+  }
+  if (op_source == obs::IoSource::kForegroundMeta && any_data) {
+    op_source = obs::IoSource::kForegroundData;
+  }
+  class_bytes[static_cast<size_t>(op_source)] += sb_.block_size;  // Summary.
+  obs::RecordWriteOp(op_source);
+  for (size_t i = 0; i < obs::kIoSourceCount; ++i) {
+    if (class_bytes[i] != 0) {
+      obs::RecordWriteBytes(static_cast<obs::IoSource>(i), class_bytes[i]);
     }
   }
   last_flush_.clear();

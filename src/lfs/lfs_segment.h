@@ -177,8 +177,8 @@ class SegmentBuilder {
   uint32_t start_offset_ = 0;  // Where the pending partial segment begins.
   std::vector<SummaryEntry> entries_;
   obs::IoSource io_context_ = obs::IoSource::kForegroundData;
-  // Parallel to entries_ (maintained only with metrics enabled): the
-  // provenance class captured when each entry was appended.
+  // Parallel to entries_: the provenance class captured when each entry was
+  // appended.
   std::vector<obs::IoSource> entry_sources_;
   // One extent per entry, in order: either a caller-owned span
   // (AppendExternal) or a slice of buffer_ (Append/AppendDeferred). Handed

@@ -19,17 +19,7 @@
 namespace logfs {
 namespace {
 
-void CountLockMicros(const char* name, double seconds) {
-  if constexpr (obs::kMetricsEnabled) {
-    if (seconds > 0.0) {
-      obs::Registry().GetCounter(name).Increment(
-          static_cast<uint64_t>(seconds * 1e6 + 0.5));
-    }
-  } else {
-    (void)name;
-    (void)seconds;
-  }
-}
+uint64_t Micros(double seconds) { return static_cast<uint64_t>(seconds * 1e6 + 0.5); }
 
 }  // namespace
 
@@ -37,10 +27,6 @@ void CountLockMicros(const char* name, double seconds) {
 
 ShardedLfs::Locked::Locked(ShardedLfs* sfs, uint32_t shard)
     : sfs_(sfs), shard_(shard), lock_(sfs->shards_[shard]->mu, std::defer_lock) {
-  if constexpr (!obs::kMetricsEnabled) {
-    lock_.lock();
-    return;
-  }
   ctx_ = obs::CurrentTraceContext();
   const bool multi = sfs_->shards_.size() > 1;
   if (!multi && !ctx_.active()) {
@@ -54,37 +40,33 @@ ShardedLfs::Locked::Locked(ShardedLfs* sfs, uint32_t shard)
     lock_.lock();
   }
   held_start_ = clock != nullptr ? clock->Now() : wait_start;
-  if (multi) {
-    CountLockMicros("logfs.shard.lock.wait_us", held_start_ - wait_start);
+  if (multi && held_start_ > wait_start) {
+    obs::Count<"logfs.shard.lock.wait_us">(Micros(held_start_ - wait_start));
   }
   if (ctx_.active()) {
     if (contended && held_start_ > wait_start) {
-      obs::Tracer().RecordSpanIds("shard.lock_wait", "acquire", wait_start,
-                                  held_start_, ctx_.trace_id, obs::Tracer().NextId(),
-                                  ctx_.span_id, {},
-                                  {{"shard", std::to_string(shard_)}});
+      obs::RecordSpanIds("shard.lock_wait", "acquire", wait_start, held_start_,
+                         ctx_.trace_id, obs::MintSpanId(ctx_), ctx_.span_id, {},
+                         {{"shard", std::to_string(shard_)}});
     }
-    held_span_ = obs::Tracer().NextId();
+    held_span_ = obs::MintSpanId(ctx_);
     scope_.emplace(obs::TraceContext{ctx_.trace_id, held_span_});
   }
 }
 
 ShardedLfs::Locked::~Locked() {
-  if constexpr (obs::kMetricsEnabled) {
-    if (held_span_ == 0 && sfs_->shards_.size() <= 1) {
-      return;  // Fast path took no timestamps.
-    }
-    SimClock* clock = sfs_->clock_;
-    const double end = clock != nullptr ? clock->Now() : held_start_;
-    if (held_span_ != 0) {
-      scope_.reset();  // Restore the caller's ambient context first.
-      obs::Tracer().RecordSpanIds("shard.lock_held", "section", held_start_, end,
-                                  ctx_.trace_id, held_span_, ctx_.span_id, {},
-                                  {{"shard", std::to_string(shard_)}});
-    }
-    if (sfs_->shards_.size() > 1) {
-      CountLockMicros("logfs.shard.lock.held_us", end - held_start_);
-    }
+  if (held_span_ == 0 && sfs_->shards_.size() <= 1) {
+    return;  // Fast path took no timestamps.
+  }
+  SimClock* clock = sfs_->clock_;
+  const double end = clock != nullptr ? clock->Now() : held_start_;
+  if (held_span_ != 0) {
+    scope_.reset();  // Restore the caller's ambient context first.
+    obs::RecordSpanIds("shard.lock_held", "section", held_start_, end, ctx_.trace_id,
+                       held_span_, ctx_.span_id, {}, {{"shard", std::to_string(shard_)}});
+  }
+  if (sfs_->shards_.size() > 1 && end > held_start_) {
+    obs::Count<"logfs.shard.lock.held_us">(Micros(end - held_start_));
   }
 }
 
@@ -236,11 +218,7 @@ Status ShardedLfs::ReconcileIntents() {
     // A media error on the retire leaves the slot pending: the next mount
     // re-reconciles it, which is a no-op on the now-repaired image.
   }
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Registry()
-        .GetCounter("logfs.intent.reconciled")
-        .Increment(pending_slots.size());
-  }
+  obs::Count<"logfs.intent.reconciled">(pending_slots.size());
   reconcile_report_ = std::move(rep);
   return OkStatus();
 }
@@ -258,9 +236,7 @@ Status ShardedLfs::RetireDurableIntents() {
 }
 
 Status ShardedLfs::DrainIntents() {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Registry().GetCounter("logfs.intent.ring_full_drains").Increment();
-  }
+  obs::Count<"logfs.intent.ring_full_drains">();
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     RETURN_IF_ERROR(shard->fs->Sync());
@@ -286,8 +262,9 @@ uint32_t ShardedLfs::PlaceShard(InodeNum dir, std::string_view name,
   for (char c : name) {
     mix(static_cast<uint8_t>(c));
   }
+  // Widen first: shifting the 32-bit ino by 32 or more is undefined.
   for (int i = 0; i < 8; ++i) {
-    mix(static_cast<uint8_t>(dir >> (8 * i)));
+    mix(static_cast<uint8_t>(static_cast<uint64_t>(dir) >> (8 * i)));
   }
   return static_cast<uint32_t>(h % shards_.size());
 }
@@ -310,21 +287,18 @@ std::vector<std::unique_lock<std::mutex>> ShardedLfs::LockSet(std::vector<uint32
     }
     locks.push_back(std::move(l));
   }
-  if constexpr (obs::kMetricsEnabled) {
-    const double end = clock_ != nullptr ? clock_->Now() : start;
-    if (shards_.size() > 1) {
-      CountLockMicros("logfs.shard.lock.wait_us", end - start);
+  const double end = clock_ != nullptr ? clock_->Now() : start;
+  if (shards_.size() > 1 && end > start) {
+    obs::Count<"logfs.shard.lock.wait_us">(Micros(end - start));
+  }
+  const obs::TraceContext ctx = obs::CurrentTraceContext();
+  if (ctx.active() && contended && end > start) {
+    std::string which;
+    for (uint32_t i : want) {
+      which += (which.empty() ? "" : ",") + std::to_string(i);
     }
-    const obs::TraceContext ctx = obs::CurrentTraceContext();
-    if (ctx.active() && contended && end > start) {
-      std::string which;
-      for (uint32_t i : want) {
-        which += (which.empty() ? "" : ",") + std::to_string(i);
-      }
-      obs::Tracer().RecordSpanIds("shard.lock_wait", "acquire_set", start, end,
-                                  ctx.trace_id, obs::Tracer().NextId(), ctx.span_id,
-                                  {}, {{"shards", std::move(which)}});
-    }
+    obs::RecordSpanIds("shard.lock_wait", "acquire_set", start, end, ctx.trace_id,
+                       obs::MintSpanId(ctx), ctx.span_id, {}, {{"shards", std::move(which)}});
   }
   return locks;
 }
@@ -867,12 +841,12 @@ void ShardedLfs::PublishShardMetrics() {
   // Each shard's Tick republished logfs.seg.util.* with only its own
   // segments (last writer wins); overwrite with the merged distribution so
   // the global gauges describe the whole volume.
-  std::vector<double> utils;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->fs->CollectSegmentUtilization(&utils);
-  }
-  obs::PublishUtilization(utils);
+  obs::PublishUtilizationOf([this](std::vector<double>* utils) {
+    for (auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      shard->fs->CollectSegmentUtilization(utils);
+    }
+  });
 }
 
 // --- global checker ------------------------------------------------------------

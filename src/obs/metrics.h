@@ -11,7 +11,8 @@
 //                 and size distributions).
 //
 // Hot-path increments are single relaxed atomic adds on a handle looked up
-// once (function-local static at the instrumentation site); the registry
+// once: Count<"logfs.x.y">(n) caches the handle per metric name, and sites
+// that need a gauge or histogram keep a function-local static. The registry
 // mutex guards registration only. Everything a snapshot exports is derived
 // from SimClock-driven, deterministic execution, so an identical seed
 // workload yields a byte-identical snapshot (tests/obs_test.cc holds us to
@@ -19,7 +20,9 @@
 //
 // Configure with -DLOGFS_METRICS=OFF to compile the layer out: the handle
 // getters return shared dummies, the registry stays empty, and every
-// increment is an empty inline function the optimizer deletes.
+// increment is an empty inline function the optimizer deletes. That decision
+// lives in src/obs alone; instrumentation sites never test the build mode
+// (the metrics_gate_lint test enforces it).
 #ifndef LOGFS_SRC_OBS_METRICS_H_
 #define LOGFS_SRC_OBS_METRICS_H_
 
@@ -157,6 +160,29 @@ class MetricsRegistry {
 
 // Shorthand for the process-wide registry at instrumentation sites.
 inline MetricsRegistry& Registry() { return MetricsRegistry::Global(); }
+
+// A string literal usable as a template argument (Count<"logfs.x.y">).
+template <size_t N>
+struct MetricName {
+  constexpr MetricName(const char (&name)[N]) {
+    for (size_t i = 0; i < N; ++i) value[i] = name[i];
+  }
+  char value[N];
+};
+
+// Adds `delta` to the process-wide counter `Name`. The handle is resolved on
+// the first call and cached per name, so the hot path never takes the
+// registry mutex; the counter is registered by that first call, zero delta
+// included. Compiles to nothing under LOGFS_METRICS=OFF.
+template <MetricName Name>
+void Count(uint64_t delta = 1) {
+  if constexpr (kMetricsEnabled) {
+    static Counter& counter = Registry().GetCounter(Name.value);
+    counter.Increment(delta);
+  } else {
+    (void)delta;
+  }
+}
 
 }  // namespace logfs::obs
 

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "src/obs/metrics.h"
 
@@ -157,6 +158,18 @@ void PublishUtilization(std::span<const double> per_segment_utilization);
 IoAttribution AttributionSnapshot();
 
 #endif  // LOGFS_METRICS_DISABLED
+
+// PublishUtilization over what `collect(std::vector<double>*)` appends. The
+// collector runs only when metrics are compiled in, so a caller that walks
+// every segment to build the distribution pays nothing in the off build.
+template <typename Collect>
+void PublishUtilizationOf(Collect&& collect) {
+  if constexpr (kMetricsEnabled) {
+    std::vector<double> utils;
+    collect(&utils);
+    PublishUtilization(utils);
+  }
+}
 
 }  // namespace logfs::obs
 

@@ -7,7 +7,9 @@
 // Spans are recorded at completion (begin time carried in the RAII
 // SpanTimer), so the ring holds finished work only and a crash mid-span
 // loses just that span. Like the metrics registry, the tracer compiles to
-// no-ops under LOGFS_METRICS=OFF.
+// no-ops under LOGFS_METRICS=OFF; instrumentation sites record through the
+// free RecordSpan/RecordSpanIds/RecordInstant below, which are empty inlines
+// in that configuration, so the off build links no tracer symbol at all.
 #ifndef LOGFS_SRC_OBS_TRACER_H_
 #define LOGFS_SRC_OBS_TRACER_H_
 
@@ -95,6 +97,31 @@ class StructuredTracer {
 };
 
 inline StructuredTracer& Tracer() { return StructuredTracer::Global(); }
+
+// Instrumentation-site entry points into the process-wide tracer (the
+// StructuredTracer members of the same names document the arguments).
+using TraceArgs = std::vector<std::pair<std::string, std::string>>;
+inline void RecordSpan(std::string_view category, std::string_view name, double start_seconds,
+                       double end_seconds, TraceArgs args = {}) {
+  if constexpr (kMetricsEnabled) {
+    Tracer().RecordSpan(category, name, start_seconds, end_seconds, std::move(args));
+  }
+}
+inline void RecordSpanIds(std::string_view category, std::string_view name,
+                          double start_seconds, double end_seconds, uint64_t trace_id,
+                          uint64_t span_id, uint64_t parent_id,
+                          std::vector<uint64_t> links = {}, TraceArgs args = {}) {
+  if constexpr (kMetricsEnabled) {
+    Tracer().RecordSpanIds(category, name, start_seconds, end_seconds, trace_id, span_id,
+                           parent_id, std::move(links), std::move(args));
+  }
+}
+inline void RecordInstant(std::string_view category, std::string_view name, double at_seconds,
+                          TraceArgs args = {}) {
+  if constexpr (kMetricsEnabled) {
+    Tracer().RecordInstant(category, name, at_seconds, std::move(args));
+  }
+}
 
 // RAII span: reads the clock at construction and records the span on
 // destruction. A null clock records at t=0 with zero duration, so call

@@ -24,15 +24,6 @@ constexpr double kLatencyBoundsUs[] = {50,    100,   200,   500,    1000,   2000
                                        5000,  10000, 20000, 50000,  100000, 200000,
                                        500000, 1e6,  2e6,   5e6};
 
-void CountMetric(const char* name, uint64_t delta = 1) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Registry().GetCounter(name).Increment(delta);
-  } else {
-    (void)name;
-    (void)delta;
-  }
-}
-
 }  // namespace
 
 Client::Client(SimClock* clock, EventQueue* events, SimTransport* transport, NodeId server,
@@ -67,20 +58,16 @@ void Client::Call(Request request, std::function<void(Response&&)> cb,
   request.request_id = next_request_id_++;
   const uint64_t id = request.request_id;
   Outstanding& out = outstanding_[id];
-  if constexpr (obs::kMetricsEnabled) {
-    out.ctx = ctx != nullptr ? *ctx : op_ctx_;
-    if (out.ctx.active()) {
-      out.rpc_span = obs::Tracer().NextId();
-      out.call_time = Now();
-      const uint64_t attempt_span = obs::Tracer().NextId();
-      out.attempts.emplace_back(out.call_time, attempt_span);
-      // The wire carries the *attempt* span so the server's handle span
-      // parents under the send that actually reached it.
-      request.ctx = obs::TraceContext{out.ctx.trace_id, attempt_span};
-      request.attempt = 0;
-    }
-  } else {
-    (void)ctx;
+  out.ctx = ctx != nullptr ? *ctx : op_ctx_;
+  if (out.ctx.active()) {
+    out.rpc_span = obs::MintSpanId(out.ctx);
+    out.call_time = Now();
+    const uint64_t attempt_span = obs::MintSpanId(out.ctx);
+    out.attempts.emplace_back(out.call_time, attempt_span);
+    // The wire carries the *attempt* span so the server's handle span
+    // parents under the send that actually reached it.
+    request.ctx = obs::TraceContext{out.ctx.trace_id, attempt_span};
+    request.attempt = 0;
   }
   out.request = request;
   out.cb = std::move(cb);
@@ -98,16 +85,14 @@ void Client::Retransmit(uint64_t request_id) {
     return;  // Answered between scheduling and firing.
   }
   Outstanding& out = it->second;
-  CountMetric("logfs.serve.client.retransmits");
-  if constexpr (obs::kMetricsEnabled) {
-    if (out.ctx.active()) {
-      // Each resend is its own sibling attempt span, tagged with the RTO
-      // generation; the response will name exactly one of them the winner.
-      const uint64_t attempt_span = obs::Tracer().NextId();
-      out.attempts.emplace_back(Now(), attempt_span);
-      out.request.ctx.span_id = attempt_span;
-      out.request.attempt = static_cast<uint32_t>(out.attempts.size() - 1);
-    }
+  obs::Count<"logfs.serve.client.retransmits">();
+  if (out.ctx.active()) {
+    // Each resend is its own sibling attempt span, tagged with the RTO
+    // generation; the response will name exactly one of them the winner.
+    const uint64_t attempt_span = obs::MintSpanId(out.ctx);
+    out.attempts.emplace_back(Now(), attempt_span);
+    out.request.ctx.span_id = attempt_span;
+    out.request.attempt = static_cast<uint32_t>(out.attempts.size() - 1);
   }
   out.rto = std::min(out.rto * 2.0, options_.max_rto_seconds);
   out.timer = events_->ScheduleAfter(out.rto, [this, request_id] { Retransmit(request_id); });
@@ -148,46 +133,39 @@ void Client::OnResponse(Response&& response) {
   events_->Cancel(it->second.timer);
   Outstanding out = std::move(it->second);
   outstanding_.erase(it);
-  if constexpr (obs::kMetricsEnabled) {
-    RecordRpcSpans(out, response);
-  }
+  RecordRpcSpans(out, response);
   out.cb(std::move(response));
 }
 
 void Client::RecordRpcSpans(const Outstanding& out, const Response& response) {
-  if constexpr (obs::kMetricsEnabled) {
-    if (!out.ctx.active()) {
-      return;
-    }
-    const double now = Now();
-    const char* op = OpKindName(out.request.op);
-    const size_t n = out.attempts.size();
-    // The server echoed which send's payload it executed (or replayed from
-    // the dedup cache) — that attempt carried the exchange; clamp defends
-    // against a response from a pre-crash incarnation that never saw it.
-    const size_t winner = std::min<size_t>(response.attempt, n - 1);
-    for (size_t i = 0; i < n; ++i) {
-      const auto [sent_at, span] = out.attempts[i];
-      // Attempts tile [call, response]: a loser span ends where the next
-      // send starts (its useful life — waiting — ended there); the winner
-      // runs to the response, so the tree's critical path credits the
-      // network exactly once and every earlier wait as retransmit cost.
-      const double end =
-          i == winner ? now : (i + 1 < n ? std::min(out.attempts[i + 1].first, now) : now);
-      obs::Tracer().RecordSpanIds(
-          "serve.attempt", op, sent_at, end, out.ctx.trace_id, span, out.rpc_span, {},
-          {{"rto_gen", std::to_string(i)}, {"winner", i == winner ? "1" : "0"}});
-    }
-    obs::Tracer().RecordSpanIds("serve.rpc", op, out.call_time, now, out.ctx.trace_id,
-                                out.rpc_span, out.ctx.span_id);
-    if (n > 1) {
-      CountMetric("logfs.serve.rpc.wasted_attempts", n - 1);
-    }
-    CountMetric("logfs.serve.rpc.attempts", n);
-  } else {
-    (void)out;
-    (void)response;
+  if (!out.ctx.active()) {
+    return;
   }
+  const double now = Now();
+  const char* op = OpKindName(out.request.op);
+  const size_t n = out.attempts.size();
+  // The server echoed which send's payload it executed (or replayed from
+  // the dedup cache) — that attempt carried the exchange; clamp defends
+  // against a response from a pre-crash incarnation that never saw it.
+  const size_t winner = std::min<size_t>(response.attempt, n - 1);
+  for (size_t i = 0; i < n; ++i) {
+    const auto [sent_at, span] = out.attempts[i];
+    // Attempts tile [call, response]: a loser span ends where the next
+    // send starts (its useful life — waiting — ended there); the winner
+    // runs to the response, so the tree's critical path credits the
+    // network exactly once and every earlier wait as retransmit cost.
+    const double end =
+        i == winner ? now : (i + 1 < n ? std::min(out.attempts[i + 1].first, now) : now);
+    obs::RecordSpanIds(
+        "serve.attempt", op, sent_at, end, out.ctx.trace_id, span, out.rpc_span, {},
+        {{"rto_gen", std::to_string(i)}, {"winner", i == winner ? "1" : "0"}});
+  }
+  obs::RecordSpanIds("serve.rpc", op, out.call_time, now, out.ctx.trace_id,
+                     out.rpc_span, out.ctx.span_id);
+  if (n > 1) {
+    obs::Count<"logfs.serve.rpc.wasted_attempts">(n - 1);
+  }
+  obs::Count<"logfs.serve.rpc.attempts">(n);
 }
 
 void Client::RetireDurable(uint64_t durable_seq) {
@@ -264,17 +242,15 @@ void Client::FlushForRevoke(uint64_t hid, RevokeAck ack, obs::TraceContext flush
         InvalidateFile(*h2);
         h2->recalled = false;
       }
-      if constexpr (obs::kMetricsEnabled) {
-        if (flush_ctx.active()) {
-          std::vector<uint64_t> links;
-          if (link_trace != 0) {
-            links.push_back(link_trace);
-          }
-          obs::Tracer().RecordSpanIds("serve.revoke_flush", "flush", started, Now(),
-                                      flush_ctx.trace_id, flush_ctx.span_id, 0,
-                                      std::move(links),
-                                      {{"client", std::to_string(node_)}});
+      if (flush_ctx.active()) {
+        std::vector<uint64_t> links;
+        if (link_trace != 0) {
+          links.push_back(link_trace);
         }
+        obs::RecordSpanIds("serve.revoke_flush", "flush", started, Now(),
+                           flush_ctx.trace_id, flush_ctx.span_id, 0,
+                           std::move(links),
+                           {{"client", std::to_string(node_)}});
       }
       transport_->Send(server_, Message::MakeRevokeAck(ack));
     }, flush_ctx);
@@ -301,12 +277,10 @@ void Client::Enqueue(const char* kind, std::function<void(std::function<void()>)
       if (crashed_) {
         return;
       }
-      if constexpr (obs::kMetricsEnabled) {
-        if (op_ctx.active()) {
-          obs::Tracer().RecordSpanIds("serve.op", k, op_start, Now(), op_ctx.trace_id,
-                                      op_ctx.span_id, 0, {},
-                                      {{"client", std::to_string(node_)}});
-        }
+      if (op_ctx.active()) {
+        obs::RecordSpanIds("serve.op", k, op_start, Now(), op_ctx.trace_id,
+                           op_ctx.span_id, 0, {},
+                           {{"client", std::to_string(node_)}});
       }
       op_ctx_ = obs::TraceContext{};
       RecordLatency(k.c_str(), start);
@@ -569,7 +543,7 @@ void Client::DoRead(uint64_t handle, uint64_t offset, uint64_t length, bool retr
   if (LeaseValid(*h) && h->epoch == server_epoch_ && CacheCovers(*h, offset, length)) {
     auto data = ReadFromCache(*h, offset, length);
     ++stats_.hits;
-    CountMetric("logfs.serve.client.cache_hits");
+    obs::Count<"logfs.serve.client.cache_hits">();
     MaybeRenew(handle);
     if (options_.read_hook) {
       options_.read_hook(h->path, offset, data, /*from_cache=*/true);
@@ -578,7 +552,7 @@ void Client::DoRead(uint64_t handle, uint64_t offset, uint64_t length, bool retr
     return;
   }
   ++stats_.misses;
-  CountMetric("logfs.serve.client.cache_misses");
+  obs::Count<"logfs.serve.client.cache_misses">();
   EnsureHandle(handle, /*force=*/false, [this, handle, offset, length, retried,
                                          cb](Status st) {
     if (!st.ok()) {
@@ -752,7 +726,7 @@ void Client::ReplayIfNeeded(uint64_t handle, uint64_t server_size, StatusCb then
       }
     }
     stats_.replays += replay.size();
-    CountMetric("logfs.serve.client.replays", replay.size());
+    obs::Count<"logfs.serve.client.replays">(replay.size());
     WritebackBlocks(handle, replay, [this, then](Status st2) {
       if (!st2.ok()) {
         then(st2);
@@ -872,7 +846,7 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
       req.data.assign(it->second.data.begin(), it->second.data.begin() + len);
       ++st->inflight;
       ++stats_.writebacks;
-      CountMetric("logfs.serve.client.writebacks");
+      obs::Count<"logfs.serve.client.writebacks">();
       Call(std::move(req), [this, handle, b, st, pump, maybe_finish](Response&& resp) {
         --st->inflight;
         Handle* hh = Find(handle);
@@ -1150,7 +1124,7 @@ void Client::MaybeRenew(uint64_t handle) {
       hh->lease = resp.lease;
       hh->lease_term = resp.lease_expiry - Now();
       hh->lease_expiry = resp.lease_expiry;
-      CountMetric("logfs.serve.client.renewals");
+      obs::Count<"logfs.serve.client.renewals">();
     }
   });
 }
@@ -1159,10 +1133,10 @@ void Client::InvalidateFile(Handle& h) {
   for (const auto& [b, blk] : h.blocks) {
     if (blk.dirty || blk.unstable) {
       ++stats_.discards;
-      CountMetric("logfs.serve.client.discards");
+      obs::Count<"logfs.serve.client.discards">();
     } else {
       ++stats_.invalidations;
-      CountMetric("logfs.serve.client.invalidations");
+      obs::Count<"logfs.serve.client.invalidations">();
     }
   }
   h.blocks.clear();
@@ -1201,7 +1175,7 @@ void Client::EvictForSpace() {
     }
     victim_h->blocks.erase(victim_b);
     ++stats_.evictions;
-    CountMetric("logfs.serve.client.evictions");
+    obs::Count<"logfs.serve.client.evictions">();
   }
 }
 
@@ -1250,11 +1224,9 @@ void Client::RecordLatency(const char* kind, double start) {
   ++lat.count;
   lat.sum_seconds += elapsed;
   lat.max_seconds = std::max(lat.max_seconds, elapsed);
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Histogram& hist = obs::Registry().GetHistogram(
-        "logfs.serve.client.op_latency_us", kLatencyBoundsUs);
-    hist.Observe(elapsed * 1e6);
-  }
+  static obs::Histogram& hist = obs::Registry().GetHistogram(
+      "logfs.serve.client.op_latency_us", kLatencyBoundsUs);
+  hist.Observe(elapsed * 1e6);
   if (options_.latency_hook) {
     options_.latency_hook(kind, elapsed);
   }

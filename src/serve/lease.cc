@@ -5,18 +5,6 @@
 
 namespace logfs::serve {
 
-namespace {
-
-void CountExpiries(uint64_t n) {
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& expiries =
-        obs::Registry().GetCounter("logfs.serve.lease.expiries");
-    expiries.Increment(n);
-  }
-}
-
-}  // namespace
-
 void LeaseManager::PruneFile(uint64_t fh, double now) {
   auto it = table_.find(fh);
   if (it == table_.end()) {
@@ -35,7 +23,7 @@ void LeaseManager::PruneFile(uint64_t fh, double now) {
     table_.erase(it);
   }
   expiries_ += pruned;
-  CountExpiries(pruned);
+  obs::Count<"logfs.serve.lease.expiries">(pruned);
 }
 
 LeaseManager::AcquireResult LeaseManager::Acquire(uint64_t fh, uint64_t client,
@@ -75,10 +63,7 @@ LeaseManager::AcquireResult LeaseManager::Acquire(uint64_t fh, uint64_t client,
   result.granted = true;
   result.expires_at = mine.expires_at;
   ++grants_;
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& grants = obs::Registry().GetCounter("logfs.serve.lease.grants");
-    grants.Increment();
-  }
+  obs::Count<"logfs.serve.lease.grants">();
   return result;
 }
 
@@ -102,11 +87,7 @@ bool LeaseManager::Renew(uint64_t fh, uint64_t client, double now, double* expir
     *expires_at = h->second.expires_at;
   }
   ++renewals_;
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& renewals =
-        obs::Registry().GetCounter("logfs.serve.lease.renewals");
-    renewals.Increment();
-  }
+  obs::Count<"logfs.serve.lease.renewals">();
   return true;
 }
 
@@ -121,11 +102,7 @@ bool LeaseManager::Release(uint64_t fh, uint64_t client) {
   }
   if (erased > 0) {
     ++releases_;
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& releases =
-          obs::Registry().GetCounter("logfs.serve.lease.releases");
-      releases.Increment();
-    }
+    obs::Count<"logfs.serve.lease.releases">();
   }
   return erased > 0;
 }
@@ -141,11 +118,7 @@ size_t LeaseManager::ReleaseAll(uint64_t client) {
     }
   }
   releases_ += released;
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& releases =
-        obs::Registry().GetCounter("logfs.serve.lease.releases");
-    releases.Increment(released);
-  }
+  obs::Count<"logfs.serve.lease.releases">(released);
   return released;
 }
 
@@ -167,7 +140,7 @@ size_t LeaseManager::ExpireDue(double now) {
     }
   }
   expiries_ += pruned;
-  CountExpiries(pruned);
+  obs::Count<"logfs.serve.lease.expiries">(pruned);
   return pruned;
 }
 

@@ -106,10 +106,7 @@ void FileServer::HandleMessage(Message&& message) {
 
 void FileServer::HandleRequest(Request&& request) {
   ++requests_received_;
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& received = obs::Registry().GetCounter("logfs.serve.req.received");
-    received.Increment();
-  }
+  obs::Count<"logfs.serve.req.received">();
   Session& session = sessions_[request.client_id];
   // Duplicate suppression: a cached reply is resent verbatim; a request
   // that is parked (executed-but-unanswered) is silently absorbed — its
@@ -117,20 +114,14 @@ void FileServer::HandleRequest(Request&& request) {
   auto cached = session.replies.find(request.request_id);
   if (cached != session.replies.end()) {
     ++duplicates_;
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& dups = obs::Registry().GetCounter("logfs.serve.req.duplicates");
-      dups.Increment();
-    }
+    obs::Count<"logfs.serve.req.duplicates">();
     // The resend answers *this* retransmit: quote its attempt number back so
     // the client tags the winning attempt span exactly (the original reply —
     // or an earlier resend — was evidently lost).
     cached->second.attempt = request.attempt;
-    if constexpr (obs::kMetricsEnabled) {
-      if (request.ctx.active()) {
-        obs::Tracer().RecordSpanIds("serve.dedup", "replay", Now(), Now(),
-                                    request.ctx.trace_id, obs::Tracer().NextId(),
-                                    request.ctx.span_id);
-      }
+    if (request.ctx.active()) {
+      obs::RecordSpanIds("serve.dedup", "replay", Now(), Now(), request.ctx.trace_id,
+                         obs::MintSpanId(request.ctx), request.ctx.span_id);
     }
     transport_->Send(static_cast<NodeId>(request.client_id), Message::MakeResponse(cached->second));
     return;
@@ -138,16 +129,14 @@ void FileServer::HandleRequest(Request&& request) {
   if (std::find(session.parked_ids.begin(), session.parked_ids.end(), request.request_id) !=
       session.parked_ids.end()) {
     ++duplicates_;
-    if constexpr (obs::kMetricsEnabled) {
-      // Absorbed into the parked original: remember when the retransmit
-      // arrived so the park span grows a "serve.dedup" child covering the
-      // tail of the wait the client spent with a retransmit already parked.
-      for (Parked& p : parked_) {
-        if (p.request.client_id == request.client_id &&
-            p.request.request_id == request.request_id) {
-          if (p.ctx.active()) p.dup_arrivals.push_back(Now());
-          break;
-        }
+    // Absorbed into the parked original: remember when the retransmit
+    // arrived so the park span grows a "serve.dedup" child covering the
+    // tail of the wait the client spent with a retransmit already parked.
+    for (Parked& p : parked_) {
+      if (p.request.client_id == request.client_id &&
+          p.request.request_id == request.request_id) {
+        if (p.ctx.active()) p.dup_arrivals.push_back(Now());
+        break;
       }
     }
     return;
@@ -158,22 +147,16 @@ void FileServer::HandleRequest(Request&& request) {
   // forever. Every protocol op is idempotent (writes are gated by the lease
   // check), so re-executing a genuinely ancient duplicate is harmless.
   session.max_request_id = std::max(session.max_request_id, request.request_id);
-  if constexpr (obs::kMetricsEnabled) {
-    if (request.ctx.active()) {
-      InflightTrace& inf = inflight_[{request.client_id, request.request_id}];
-      inf.ctx = obs::TraceContext{request.ctx.trace_id, obs::Tracer().NextId()};
-      inf.parent = request.ctx.span_id;
-      inf.arrival = Now();
-    }
+  if (request.ctx.active()) {
+    InflightTrace& inf = inflight_[{request.client_id, request.request_id}];
+    inf.ctx = obs::TraceContext{request.ctx.trace_id, obs::MintSpanId(request.ctx)};
+    inf.parent = request.ctx.span_id;
+    inf.arrival = Now();
   }
   Execute(request);
 }
 
 obs::TraceContext FileServer::InflightCtx(const Request& req) const {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)req;
-    return {};
-  }
   auto it = inflight_.find({req.client_id, req.request_id});
   return it == inflight_.end() ? obs::TraceContext{} : it->second.ctx;
 }
@@ -225,15 +208,13 @@ void FileServer::FinishRequest(const Request& req, Response resp) {
   resp.mutation_seq = fs_->mutation_seq();
   resp.durable_seq = fs_->synced_seq();
   resp.attempt = req.attempt;  // The send that triggered execution won.
-  if constexpr (obs::kMetricsEnabled) {
-    auto it = inflight_.find({req.client_id, req.request_id});
-    if (it != inflight_.end()) {
-      obs::Tracer().RecordSpanIds(
-          "serve.handle", OpKindName(req.op), it->second.arrival, Now(),
-          it->second.ctx.trace_id, it->second.ctx.span_id, it->second.parent,
-          {}, {{"client", std::to_string(req.client_id)}});
-      inflight_.erase(it);
-    }
+  auto it = inflight_.find({req.client_id, req.request_id});
+  if (it != inflight_.end()) {
+    obs::RecordSpanIds(
+        "serve.handle", OpKindName(req.op), it->second.arrival, Now(),
+        it->second.ctx.trace_id, it->second.ctx.span_id, it->second.parent,
+        {}, {{"client", std::to_string(req.client_id)}});
+    inflight_.erase(it);
   }
   Session& session = sessions_[req.client_id];
   session.replies[req.request_id] = resp;
@@ -325,11 +306,7 @@ void FileServer::DoWrite(const Request& req, Response* resp) {
   // own lease's expiry loses: the data may already have been granted away.
   if (leases_.Held(req.fh, req.client_id, Now()) != LeaseKind::kWrite) {
     ++stale_writebacks_;
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& stale =
-          obs::Registry().GetCounter("logfs.serve.lease.stale_writebacks");
-      stale.Increment();
-    }
+    obs::Count<"logfs.serve.lease.stale_writebacks">();
     resp->code = ErrorCode::kBusy;
     resp->error = "write lease not held (expired or revoked)";
     return;
@@ -490,11 +467,7 @@ bool FileServer::AcquireOrPark(const Request& req, LeaseKind kind, Response* res
         leases_.MarkRecallPosted(req.fh, holder);
         recall_active = true;
         ++revokes_sent_;
-        if constexpr (obs::kMetricsEnabled) {
-          static obs::Counter& revokes =
-              obs::Registry().GetCounter("logfs.serve.lease.revokes");
-          revokes.Increment();
-        }
+        obs::Count<"logfs.serve.lease.revokes">();
         Revoke revoke;
         revoke.client_id = holder;
         revoke.fh = req.fh;
@@ -564,23 +537,18 @@ void FileServer::Park(const Request& req, const char* reason,
   Parked p;
   p.request = req;
   p.since = Now();
-  if constexpr (obs::kMetricsEnabled) {
-    p.ctx = InflightCtx(req);
-    if (p.ctx.active()) {
-      p.span_id = obs::Tracer().NextId();
-      p.reason = reason;
-      links.erase(std::remove(links.begin(), links.end(), uint64_t{0}), links.end());
-      // Self-links happen on holder refresh (the blocker is the parker's own
-      // earlier grant); drop them, the tree already contains that trace.
-      links.erase(std::remove(links.begin(), links.end(), p.ctx.trace_id), links.end());
-      p.links = std::move(links);
-    }
+  p.ctx = InflightCtx(req);
+  if (p.ctx.active()) {
+    p.span_id = obs::MintSpanId(p.ctx);
+    p.reason = reason;
+    links.erase(std::remove(links.begin(), links.end(), uint64_t{0}), links.end());
+    // Self-links happen on holder refresh (the blocker is the parker's own
+    // earlier grant); drop them, the tree already contains that trace.
+    links.erase(std::remove(links.begin(), links.end(), p.ctx.trace_id), links.end());
+    p.links = std::move(links);
   }
   parked_.push_back(std::move(p));
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& parked = obs::Registry().GetCounter("logfs.serve.req.parked");
-    parked.Increment();
-  }
+  obs::Count<"logfs.serve.req.parked">();
 }
 
 void FileServer::RetryParked() {
@@ -595,23 +563,21 @@ void FileServer::RetryParked() {
     Session& session = sessions_[p.request.client_id];
     auto& ids = session.parked_ids;
     ids.erase(std::remove(ids.begin(), ids.end(), p.request.request_id), ids.end());
-    if constexpr (obs::kMetricsEnabled) {
-      // The park episode ends here (the retry may park again — that becomes
-      // a fresh span). Links name the traces that were blocking at park
-      // time; absorbed retransmits become dedup_parked children covering
-      // the tail of the wait.
-      if (p.ctx.active()) {
-        const double unparked = Now();
-        obs::Tracer().RecordSpanIds(
-            "serve.park", p.reason, p.since, unparked, p.ctx.trace_id,
-            p.span_id, p.ctx.span_id, p.links,
-            {{"op", OpKindName(p.request.op)},
-             {"fh", std::to_string(p.request.fh)}});
-        for (double dup_at : p.dup_arrivals) {
-          obs::Tracer().RecordSpanIds(
-              "serve.dedup", "absorbed", std::max(dup_at, p.since), unparked,
-              p.ctx.trace_id, obs::Tracer().NextId(), p.span_id);
-        }
+    // The park episode ends here (the retry may park again — that becomes
+    // a fresh span). Links name the traces that were blocking at park
+    // time; absorbed retransmits become dedup_parked children covering
+    // the tail of the wait.
+    if (p.ctx.active()) {
+      const double unparked = Now();
+      obs::RecordSpanIds(
+          "serve.park", p.reason, p.since, unparked, p.ctx.trace_id,
+          p.span_id, p.ctx.span_id, p.links,
+          {{"op", OpKindName(p.request.op)},
+           {"fh", std::to_string(p.request.fh)}});
+      for (double dup_at : p.dup_arrivals) {
+        obs::RecordSpanIds(
+            "serve.dedup", "absorbed", std::max(dup_at, p.since), unparked,
+            p.ctx.trace_id, obs::MintSpanId(p.ctx), p.span_id);
       }
     }
     Execute(p.request);

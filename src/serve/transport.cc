@@ -28,10 +28,7 @@ void SimTransport::Reattach(NodeId node, Handler handler) {
 
 void SimTransport::Send(NodeId to, Message message) {
   ++sent_;
-  if constexpr (obs::kMetricsEnabled) {
-    static obs::Counter& sent = obs::Registry().GetCounter("logfs.serve.net.sent");
-    sent.Increment();
-  }
+  obs::Count<"logfs.serve.net.sent">();
   // The fault dice roll even for messages to dead endpoints, so a crash does
   // not perturb the drop/jitter stream seen by the survivors.
   const bool drop =
@@ -42,10 +39,7 @@ void SimTransport::Send(NodeId to, Message message) {
   }
   if (drop) {
     ++dropped_;
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& dropped = obs::Registry().GetCounter("logfs.serve.net.dropped");
-      dropped.Increment();
-    }
+    obs::Count<"logfs.serve.net.dropped">();
     return;
   }
   events_->ScheduleAfter(delay, [this, to, msg = std::move(message)]() mutable {
@@ -54,11 +48,7 @@ void SimTransport::Send(NodeId to, Message message) {
       return;
     }
     ++delivered_;
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Counter& delivered =
-          obs::Registry().GetCounter("logfs.serve.net.delivered");
-      delivered.Increment();
-    }
+    obs::Count<"logfs.serve.net.delivered">();
     handlers_[to](std::move(msg));
   });
   (void)clock_;

@@ -31,11 +31,9 @@ std::string SmallFilePath(const SmallFileParams& params, int index) {
 // time), so a Chrome-trace export lines phases up against the cleaner and
 // segment-writer spans they caused.
 void RecordPhaseSpan(const Testbed& bed, const PhaseResult& phase) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Tracer().RecordSpan("workload", phase.name, bed.Now() - phase.seconds, bed.Now(),
-                             {{"operations", std::to_string(phase.operations)},
-                              {"bytes", std::to_string(phase.bytes)}});
-  }
+  obs::RecordSpan("workload", phase.name, bed.Now() - phase.seconds, bed.Now(),
+                  {{"operations", std::to_string(phase.operations)},
+                   {"bytes", std::to_string(phase.bytes)}});
 }
 }  // namespace
 

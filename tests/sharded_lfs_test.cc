@@ -105,6 +105,19 @@ TEST(ShardedLfsTest, DirectoriesSpreadFilesColocate) {
   ExpectClean(rig.fs.get());
 }
 
+// Directory placement is a pure function of (parent ino, name), pinned here
+// so it cannot drift with the compiler or the optimization level.
+TEST(ShardedLfsTest, DirectoryPlacementIsPinned) {
+  ShardedInstance rig(4);
+  std::string placement;
+  for (int i = 0; i < 24; ++i) {
+    auto ino = rig.fs->Create(kRootIno, "cold" + std::to_string(i), FileType::kDirectory);
+    ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+    placement += std::to_string(rig.fs->ShardOf(*ino));
+  }
+  EXPECT_EQ(placement, "032103210330123012300321");
+}
+
 TEST(ShardedLfsTest, CrossShardDataRoundTrip) {
   ShardedInstance rig(4);
   const auto payload = TestBytes(3 * 4096 + 17, 42);
@@ -135,16 +148,22 @@ TEST(ShardedLfsTest, CrossShardDataRoundTrip) {
 
 TEST(ShardedLfsTest, CrossShardNamespaceOps) {
   ShardedInstance rig(4);
-  // Directories land on hash-chosen shards; build a small tree.
+  // Directories land on hash-chosen shards; build a small tree whose two
+  // parents live on different logs.
   auto d1 = rig.fs->Create(kRootIno, "alpha", FileType::kDirectory);
-  auto d2 = rig.fs->Create(kRootIno, "beta", FileType::kDirectory);
-  ASSERT_TRUE(d1.ok() && d2.ok());
+  ASSERT_TRUE(d1.ok());
+  InodeNum d2 = 0;
+  for (int i = 0; d2 == 0 || rig.fs->ShardOf(d2) == rig.fs->ShardOf(*d1); ++i) {
+    auto made = rig.fs->Create(kRootIno, "beta" + std::to_string(i), FileType::kDirectory);
+    ASSERT_TRUE(made.ok());
+    d2 = *made;
+  }
   auto f = rig.fs->Create(*d1, "file", FileType::kRegular);
   ASSERT_TRUE(f.ok());
   ASSERT_TRUE(rig.fs->Write(*f, 0, TestBytes(4096, 7)).ok());
 
-  // Hard link across directories (and almost surely across shards).
-  ASSERT_TRUE(rig.fs->Link(*d2, "link", *f).ok());
+  // Hard link across directories and shards.
+  ASSERT_TRUE(rig.fs->Link(d2, "link", *f).ok());
   auto st = rig.fs->Stat(*f);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->nlink, 2u);
@@ -158,24 +177,24 @@ TEST(ShardedLfsTest, CrossShardNamespaceOps) {
   ExpectClean(rig.fs.get());
 
   // Cross-directory file rename.
-  ASSERT_TRUE(rig.fs->Rename(*d2, "link", *d1, "back").ok());
+  ASSERT_TRUE(rig.fs->Rename(d2, "link", *d1, "back").ok());
   EXPECT_TRUE(rig.fs->Lookup(*d1, "back").ok());
-  EXPECT_FALSE(rig.fs->Lookup(*d2, "link").ok());
+  EXPECT_FALSE(rig.fs->Lookup(d2, "link").ok());
   ExpectClean(rig.fs.get());
 
   // Directory rename across parents: ".." must follow, nlinks must track.
   auto sub = rig.fs->Create(*d1, "sub", FileType::kDirectory);
   ASSERT_TRUE(sub.ok());
-  ASSERT_TRUE(rig.fs->Rename(*d1, "sub", *d2, "moved").ok());
+  ASSERT_TRUE(rig.fs->Rename(*d1, "sub", d2, "moved").ok());
   auto dots = rig.fs->Lookup(*sub, "..");
   ASSERT_TRUE(dots.ok());
-  EXPECT_EQ(*dots, *d2);
+  EXPECT_EQ(*dots, d2);
   ExpectClean(rig.fs.get());
 
   // Directory-over-directory replace across parents.
   auto victim = rig.fs->Create(*d1, "victim", FileType::kDirectory);
   ASSERT_TRUE(victim.ok());
-  ASSERT_TRUE(rig.fs->Rename(*d2, "moved", *d1, "victim").ok());
+  ASSERT_TRUE(rig.fs->Rename(d2, "moved", *d1, "victim").ok());
   EXPECT_FALSE(rig.fs->Stat(*victim).ok());  // Replaced and released.
   dots = rig.fs->Lookup(*sub, "..");
   ASSERT_TRUE(dots.ok());

@@ -81,4 +81,14 @@ if "$BUILD_DIR"/examples/lfs_inspect iostat >/dev/null 2>&1; then
   exit 1
 fi
 
-echo "LOGFS_METRICS=OFF: build + tests clean (sampler no-op, serve + tracing + intent + observatory surfaces verified)"
+# Instrumentation sites call the tracer and the observatory unconditionally;
+# the off build must still link neither into a plain client of the library.
+# quickstart links the whole LFS core (file system, cleaner, segment writer,
+# recovery), so every instrumentation site there is covered.
+if nm -C "$BUILD_DIR"/examples/quickstart |
+    grep -q 'obs::StructuredTracer::\|obs::RecordWrite\|obs::RecordSegLifecycle\|obs::ObserveSegment\|obs::AttributionSnapshot\|obs::PublishUtilization'; then
+  echo "tracer or observatory symbols survived LOGFS_METRICS=OFF in quickstart" >&2
+  exit 1
+fi
+
+echo "LOGFS_METRICS=OFF: build + tests clean (sampler no-op, serve + tracing + intent + observatory surfaces verified, no tracer/observatory symbol in quickstart)"
