@@ -153,12 +153,9 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mount(BlockDevice* device,
   ASSIGN_OR_RETURN(LfsSuperblock sb, DecodeLfsSuperblock(first));
   auto fs = std::unique_ptr<LfsFileSystem>(new LfsFileSystem(device, clock, cpu, sb, options));
 
-  // Seed the block-checksum index from the segment summaries before any
-  // block is read back, so even the checkpoint's imap/usage reads verify.
-  RETURN_IF_ERROR(fs->LoadBlockCrcIndex());
-
   // Read both checkpoint regions; the valid one with the highest sequence
-  // number wins (Section 4.4.1).
+  // number wins (Section 4.4.1). Each region carries its own CRC, so it
+  // needs no block-checksum index.
   const size_t region_bytes = static_cast<size_t>(sb.checkpoint_region_blocks) * sb.block_size;
   std::vector<std::byte> region(region_bytes);
   Result<CheckpointRecord> best = CorruptedError("no valid checkpoint region");
@@ -192,6 +189,11 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mount(BlockDevice* device,
   if (!best.ok()) {
     return best.status();
   }
+  // One walk of the segment summaries seeds the block-checksum index before
+  // any block is read back (so even the checkpoint's imap/usage reads
+  // verify) and keeps the partials written after the checkpoint.
+  const std::vector<RollCandidate> candidates = fs->WalkSummaries(
+      options.roll_forward ? std::optional<uint64_t>(best->next_log_seq) : std::nullopt);
   RETURN_IF_ERROR(fs->LoadFromCheckpoint(*best));
   fs->next_ckpt_region_ = best_region == 0 ? 1 : 0;
   obs::Count<"logfs.recovery.mounts">();
@@ -200,7 +202,7 @@ Result<std::unique_ptr<LfsFileSystem>> LfsFileSystem::Mount(BlockDevice* device,
                       {"sequence", std::to_string(best->sequence)}});
 
   if (options.roll_forward) {
-    RETURN_IF_ERROR(fs->RollForward());
+    RETURN_IF_ERROR(fs->RollForward(candidates));
   }
   if (fs->rolled_forward_partials_ == 0) {
     // Position the log writer at the checkpoint tail. (After a roll-forward
@@ -401,33 +403,50 @@ void LfsFileSystem::QuarantineSegment(uint32_t seg) {
                      {{"segment", std::to_string(seg)}});
 }
 
-Status LfsFileSystem::LoadBlockCrcIndex() {
+std::vector<LfsFileSystem::RollCandidate> LfsFileSystem::WalkSummaries(
+    std::optional<uint64_t> roll_from) {
+  std::vector<RollCandidate> candidates;
   const uint32_t bps = sb_.BlocksPerSegment();
   std::vector<std::byte> summary_block(BlockSize());
+  uint64_t summary_reads = 0;
   for (uint32_t seg = 0; seg < sb_.num_segments; ++seg) {
+    // An entry table that does not decode ends this segment's checksums but
+    // not its chain: the valid headers still link the partials after it.
+    bool index_crcs = true;
     uint32_t offset = 0;
     while (offset + 1 < bps) {
+      ++summary_reads;
       if (!device_->ReadSectors(sb_.SegmentBlockSector(seg, offset), summary_block).ok()) {
         break;  // Unreadable summary: the scrubber/cleaner handles damage.
       }
       Result<SummaryPeek> peek = PeekSummary(summary_block, BlockSize());
       if (!peek.ok() || offset + 1 + peek->nblocks > bps) {
-        break;
+        break;  // No (more) valid partial segments here.
       }
-      // Header CRC already vouches for the entry table; the content CRCs
-      // are exactly what this index exists to check later.
-      Result<SegmentSummary> summary = DecodeSummaryUnchecked(summary_block);
-      if (!summary.ok()) {
-        break;
+      if (index_crcs) {
+        // Header CRC already vouches for the entry table; the content CRCs
+        // are exactly what this index exists to check later.
+        Result<SegmentSummary> summary = DecodeSummaryUnchecked(summary_block);
+        if (summary.ok()) {
+          for (size_t i = 0; i < summary->entries.size(); ++i) {
+            block_crcs_[sb_.SegmentBlockSector(seg, offset + 1 + static_cast<uint32_t>(i))] =
+                summary->entries[i].block_crc;
+          }
+        } else {
+          index_crcs = false;
+        }
       }
-      for (size_t i = 0; i < summary->entries.size(); ++i) {
-        block_crcs_[sb_.SegmentBlockSector(seg, offset + 1 + static_cast<uint32_t>(i))] =
-            summary->entries[i].block_crc;
+      if (roll_from.has_value() && peek->seq >= *roll_from) {
+        candidates.push_back(
+            RollCandidate{seg, offset, peek->nblocks, peek->seq, summary_block});
       }
       offset += 1 + peek->nblocks;
     }
   }
-  return OkStatus();
+  // Every segment's chain is walked, whether or not the mount rolls forward.
+  obs::Count<"logfs.recovery.segments_scanned">(sb_.num_segments);
+  obs::Count<"logfs.recovery.summary_reads">(summary_reads);
+  return candidates;
 }
 
 void LfsFileSystem::ChargeCpu(uint64_t instructions) {
@@ -1226,7 +1245,7 @@ Status LfsFileSystem::Checkpoint() {
 
 // --- Roll-forward recovery ------------------------------------------------------------
 
-Status LfsFileSystem::RollForward() {
+Status LfsFileSystem::RollForward(std::span<const RollCandidate> candidates) {
   // Everything written while rolling forward — including the terminal
   // checkpoint below — is recovery-class traffic for attribution.
   ScopedFlag recovery_scope(&in_recovery_);
@@ -1240,41 +1259,33 @@ Status LfsFileSystem::RollForward() {
     std::vector<std::byte> content;
   };
   std::map<uint64_t, Found> found;
-  const uint32_t bps = sb_.BlocksPerSegment();
-  std::vector<std::byte> summary_block(BlockSize());
 
-  for (uint32_t seg = 0; seg < sb_.num_segments; ++seg) {
-    uint32_t offset = 0;
-    while (offset + 1 < bps) {
-      const uint64_t sector = sb_.SegmentBlockSector(seg, offset);
-      if (!device_->ReadSectors(sector, summary_block).ok()) {
-        break;
-      }
-      Result<SummaryPeek> peek = PeekSummary(summary_block, BlockSize());
-      if (!peek.ok()) {
-        break;  // No (more) valid partial segments here.
-      }
-      if (offset + 1 + peek->nblocks > bps) {
-        break;
-      }
-      if (peek->seq >= next_log_seq_) {
-        // Candidate: validate fully against its content.
-        std::vector<std::byte> content(static_cast<size_t>(peek->nblocks) * BlockSize());
-        if (!device_->ReadSectors(sb_.SegmentBlockSector(seg, offset + 1), content).ok()) {
-          break;
-        }
-        Result<SegmentSummary> summary =
-            options_.unsafe_skip_rollforward_crc
-                ? DecodeSummaryUnchecked(summary_block)
-                : DecodeSummary(summary_block, content);
-        if (!summary.ok()) {
-          break;  // Torn write: the log ends here.
-        }
-        found.emplace(peek->seq,
-                      Found{seg, offset, std::move(*summary), std::move(content)});
-      }
-      offset += 1 + peek->nblocks;
+  // Validate each candidate fully against its content, in walk order. One
+  // that fails is a torn write: that segment's log ends there, so its later
+  // candidates are not considered.
+  std::optional<uint32_t> torn_segment;
+  for (const RollCandidate& candidate : candidates) {
+    if (candidate.segment == torn_segment) {
+      continue;
     }
+    std::vector<std::byte> content(static_cast<size_t>(candidate.nblocks) * BlockSize());
+    if (!device_->ReadSectors(sb_.SegmentBlockSector(candidate.segment, candidate.offset + 1),
+                              content)
+             .ok()) {
+      torn_segment = candidate.segment;
+      continue;
+    }
+    Result<SegmentSummary> summary =
+        options_.unsafe_skip_rollforward_crc
+            ? DecodeSummaryUnchecked(candidate.summary_block)
+            : DecodeSummary(candidate.summary_block, content);
+    if (!summary.ok()) {
+      torn_segment = candidate.segment;
+      continue;
+    }
+    found.emplace(candidate.seq,
+                  Found{candidate.segment, candidate.offset, std::move(*summary),
+                        std::move(content)});
   }
 
   // Apply in sequence order while contiguous with the checkpoint tail.
@@ -1297,9 +1308,8 @@ Status LfsFileSystem::RollForward() {
     found.erase(it);
   }
   const uint32_t applied = rolled_forward_partials_ - rolled_before;
-  obs::Count<"logfs.recovery.segments_scanned">(sb_.num_segments);
   obs::Count<"logfs.recovery.rolled_partials">(applied);
-  roll_span.AddArg("segments_scanned", std::to_string(sb_.num_segments));
+  roll_span.AddArg("candidates", std::to_string(candidates.size()));
   roll_span.AddArg("partials_applied", std::to_string(applied));
   if (!advanced) {
     return OkStatus();
@@ -1412,13 +1422,23 @@ Result<std::vector<uint64_t>> LfsFileSystem::ComputeExactUsage() {
   for (DiskAddr addr : usage_block_addrs_) {
     add(addr, bs);
   }
+  // The totals do not depend on visiting order, so the reads go in
+  // ascending disk-address order (one elevator sweep, not a seek per inode):
+  // allocated inodes by their inode block's address (GetInode installs the
+  // block's siblings, so each block is read once), then the single-indirect
+  // blocks by their own addresses.
+  std::vector<std::pair<DiskAddr, uint32_t>> inode_homes;  // (address, slot)
   for (uint32_t slot = 0; slot < imap_.max_inodes(); ++slot) {
-    const InodeNum ino = imap_.InoAtSlot(slot);
     const ImapEntry& entry = imap_.GetSlot(slot);
-    if (!entry.allocated) {
-      continue;
+    if (entry.allocated) {
+      inode_homes.emplace_back(entry.block_addr, slot);
     }
-    add(entry.block_addr, quantum);
+  }
+  std::sort(inode_homes.begin(), inode_homes.end());
+  std::vector<std::pair<DiskAddr, InodeNum>> single_indirects;
+  for (const auto& [home, slot] : inode_homes) {
+    const InodeNum ino = imap_.InoAtSlot(slot);
+    add(home, quantum);
     ASSIGN_OR_RETURN(CachedInode * ci, GetInode(ino));
     const Inode inode = ci->inode;  // Copy: cache ops below may rehash.
     for (DiskAddr addr : inode.direct) {
@@ -1426,10 +1446,7 @@ Result<std::vector<uint64_t>> LfsFileSystem::ComputeExactUsage() {
     }
     if (inode.single_indirect != kNoAddr) {
       add(inode.single_indirect, bs);
-      ASSIGN_OR_RETURN(CacheRef ref, GetIndirectRef(ino, kSingleSlot, /*create=*/false));
-      for (uint64_t j = 0; j < EntriesPerBlock(); ++j) {
-        add(ReadIndirectEntry(ref->data(), j), bs);
-      }
+      single_indirects.emplace_back(inode.single_indirect, ino);
     }
     if (inode.double_indirect != kNoAddr) {
       add(inode.double_indirect, bs);
@@ -1444,6 +1461,13 @@ Result<std::vector<uint64_t>> LfsFileSystem::ComputeExactUsage() {
           add(ReadIndirectEntry(leaf->data(), k), bs);
         }
       }
+    }
+  }
+  std::sort(single_indirects.begin(), single_indirects.end());
+  for (const auto& [addr, ino] : single_indirects) {
+    ASSIGN_OR_RETURN(CacheRef ref, GetIndirectRef(ino, kSingleSlot, /*create=*/false));
+    for (uint64_t j = 0; j < EntriesPerBlock(); ++j) {
+      add(ReadIndirectEntry(ref->data(), j), bs);
     }
   }
   return live;

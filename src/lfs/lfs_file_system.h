@@ -22,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -198,6 +199,8 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
 
   // Exact live-byte recount per segment (walks every live structure). Used
   // by the checker, tests, and post-roll-forward usage reconstruction.
+  // Reads its metadata in ascending disk-address order: inode blocks first,
+  // then the single-indirect blocks they name.
   Result<std::vector<uint64_t>> ComputeExactUsage();
 
   // Live-byte quantum charged per inode slot (see inode accounting note in
@@ -326,10 +329,22 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // metrics only — salvage runs from the scrubber/cleaner, never from
   // inside a read path.
   void QuarantineSegment(uint32_t seg);
-  // Mount-time rebuild of the block-checksum index: walks every segment's
-  // partial-segment chain reading only summary blocks. Best-effort (a
-  // damaged segment just contributes fewer checksums).
-  Status LoadBlockCrcIndex();
+  // A partial segment the mount-time summary walk found at or past the
+  // checkpoint's next log sequence number. RollForward reads its content and
+  // validates it in full.
+  struct RollCandidate {
+    uint32_t segment = 0;
+    uint32_t offset = 0;
+    uint32_t nblocks = 0;
+    uint64_t seq = 0;
+    std::vector<std::byte> summary_block;
+  };
+  // Mount's one pass over every segment's partial-segment chain, reading
+  // only summary blocks. Seeds the block-checksum index (best-effort: a
+  // damaged segment just contributes fewer checksums) and, when `roll_from`
+  // is set, returns the partials with seq >= *roll_from in walk order
+  // (segment, then offset).
+  std::vector<RollCandidate> WalkSummaries(std::optional<uint64_t> roll_from);
   // Liveness predicate mirroring the cleaner's two-step check, used by the
   // scrubber to decide whether a damaged block actually loses data.
   Result<bool> IsBlockLive(const SummaryEntry& entry, DiskAddr addr);
@@ -448,7 +463,7 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // --- checkpointing & recovery ---
   Status WriteCheckpointRegion(const CheckpointRecord& ckpt);
   Status LoadFromCheckpoint(const CheckpointRecord& ckpt);
-  Status RollForward();
+  Status RollForward(std::span<const RollCandidate> candidates);
   Status ApplyRolledPartial(const SegmentSummary& summary, uint32_t segment, uint32_t offset,
                             std::span<const std::byte> content);
   Status RebuildUsageFromScratch(uint32_t active_segment, uint64_t checkpoint_next_seq);

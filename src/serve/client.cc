@@ -391,7 +391,7 @@ void Client::Commit(StatusCb cb) {
     // hold the strong refs, so the lock below cannot fail while running.
     std::weak_ptr<std::function<void(size_t, bool)>> weak_next = next;
     *next = [this, dirty_handles, first_error, weak_next, cb, done](size_t i, bool retried) {
-      auto next = weak_next.lock();
+      auto self = weak_next.lock();
       if (i >= dirty_handles->size()) {
         CommitSeq(max_write_seq_, [first_error, cb, done](Status st) {
           cb(first_error->ok() ? st : *first_error);
@@ -403,12 +403,12 @@ void Client::Commit(StatusCb cb) {
       // Re-establish the handle first: a commit may be the client's first
       // contact with a restarted server, and EnsureHandle is where the new
       // epoch's re-open + lease reclaim + dirty-block replay happens.
-      EnsureHandle(hid, /*force=*/false, [this, hid, i, retried, first_error, next](Status est) {
+      EnsureHandle(hid, /*force=*/false, [this, hid, i, retried, first_error, self](Status est) {
         if (!est.ok()) {
           if (first_error->ok()) {
             *first_error = est;
           }
-          (*next)(i + 1, false);
+          (*self)(i + 1, false);
           return;
         }
         Handle* h = Find(hid);
@@ -421,7 +421,7 @@ void Client::Commit(StatusCb cb) {
           }
         }
         WritebackBlocks(hid, std::move(dirty), [this, hid, i, retried, first_error,
-                                                next](Status st) {
+                                                self](Status st) {
           if (st.code() == ErrorCode::kNotFound && !retried) {
             // The server forgot this handle (it restarted under us and the
             // write-back's own failure is how we learned). Force a re-open
@@ -429,13 +429,13 @@ void Client::Commit(StatusCb cb) {
             if (Handle* hh = Find(hid)) {
               hh->epoch = 0;
             }
-            (*next)(i, true);
+            (*self)(i, true);
             return;
           }
           if (!st.ok() && first_error->ok()) {
             *first_error = st;
           }
-          (*next)(i + 1, false);
+          (*self)(i + 1, false);
         });
       });
     };
@@ -817,7 +817,7 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
   // Weak self-reference: see Commit's chain for why a strong one leaks.
   std::weak_ptr<std::function<void()>> weak_pump = pump;
   *pump = [this, handle, st, weak_pump, maybe_finish, ctx]() {
-    auto pump = weak_pump.lock();
+    auto self = weak_pump.lock();
     Handle* h2 = Find(handle);
     if (h2 == nullptr) {
       if (st->first_error.ok()) {
@@ -847,7 +847,7 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
       ++st->inflight;
       ++stats_.writebacks;
       obs::Count<"logfs.serve.client.writebacks">();
-      Call(std::move(req), [this, handle, b, st, pump, maybe_finish](Response&& resp) {
+      Call(std::move(req), [this, handle, b, st, self, maybe_finish](Response&& resp) {
         --st->inflight;
         Handle* hh = Find(handle);
         if (resp.code == ErrorCode::kOk && hh != nullptr) {
@@ -862,7 +862,7 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
         } else if (resp.code != ErrorCode::kOk && st->first_error.ok()) {
           st->first_error = ToStatus(resp);
         }
-        (*pump)();
+        (*self)();
         maybe_finish();
       }, ctx.active() ? &ctx : nullptr);
     }
@@ -958,17 +958,17 @@ void Client::ApplyLocalWrite(uint64_t handle, uint64_t offset, std::vector<std::
   // Weak self-reference: see Commit's chain for why a strong one leaks.
   std::weak_ptr<std::function<void(size_t)>> weak_fetch = fetch_next;
   *fetch_next = [this, handle, need, weak_fetch, apply, then](size_t i) mutable {
-    auto fetch_next = weak_fetch.lock();
+    auto self = weak_fetch.lock();
     if (i >= need.size()) {
       apply();
       return;
     }
-    FetchBlock(handle, need[i], [fetch_next, i, then](Status st) {
+    FetchBlock(handle, need[i], [self, i, then](Status st) {
       if (!st.ok()) {
         then(st);
         return;
       }
-      (*fetch_next)(i + 1);
+      (*self)(i + 1);
     });
   };
   (*fetch_next)(0);

@@ -1,10 +1,16 @@
 // Crash-recovery tests: checkpoint restore, roll-forward over segment
 // summaries, torn-write atomicity, crash-during-checkpoint alternation, and
-// a crash-anywhere property sweep driven by fault injection.
+// a crash-anywhere property sweep driven by fault injection, and the cost
+// of recovery itself: one summary walk per mount, and an exact usage
+// rebuild that covers indirect blocks.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "src/disk/fault_disk.h"
 #include "src/lfs/lfs_check.h"
+#include "src/lfs/lfs_segment.h"
+#include "src/obs/metrics.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -347,6 +353,251 @@ TEST_P(TornPartialSegmentTest, RollForwardDiscardsTheTearKeepsThePast) {
 
 INSTANTIATE_TEST_SUITE_P(TornSectors, TornPartialSegmentTest,
                          ::testing::Values(1, 4, 7, 8, 9, 15, 16, 31, 64, 128));
+
+// Counts, per sector address, the block-sized reads whose bytes parse as a
+// partial-segment summary (magic and header CRC).
+class SummaryReadCounter : public BlockDevice {
+ public:
+  SummaryReadCounter(BlockDevice* inner, uint32_t block_size)
+      : inner_(inner), block_size_(block_size) {}
+
+  Status ReadSectors(uint64_t first, std::span<std::byte> out, IoOptions options = {}) override {
+    RETURN_IF_ERROR(inner_->ReadSectors(first, out, options));
+    if (out.size() == block_size_ && PeekSummary(out, block_size_).ok()) {
+      ++reads_[first];
+    }
+    return OkStatus();
+  }
+  Status WriteSectors(uint64_t first, std::span<const std::byte> data,
+                      IoOptions options = {}) override {
+    return inner_->WriteSectors(first, data, options);
+  }
+  Status Flush() override { return inner_->Flush(); }
+  uint64_t sector_count() const override { return inner_->sector_count(); }
+  const DiskStats& stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+  const std::map<uint64_t, int>& reads() const { return reads_; }
+
+ private:
+  BlockDevice* inner_;
+  uint32_t block_size_;
+  std::map<uint64_t, int> reads_;
+};
+
+struct PartialAt {
+  uint32_t segment;
+  uint32_t offset;
+  uint32_t nblocks;
+  uint64_t seq;
+};
+
+// Every partial segment on the image, found by following each segment's
+// summary chain the way mount does.
+std::vector<PartialAt> WalkLog(BlockDevice* disk, LfsSuperblock* sb_out) {
+  std::vector<std::byte> block(4096);
+  EXPECT_TRUE(disk->ReadSectors(0, block).ok());
+  Result<LfsSuperblock> sb = DecodeLfsSuperblock(block);
+  EXPECT_TRUE(sb.ok());
+  *sb_out = *sb;
+  std::vector<PartialAt> partials;
+  const uint32_t bps = sb->BlocksPerSegment();
+  for (uint32_t seg = 0; seg < sb->num_segments; ++seg) {
+    uint32_t offset = 0;
+    while (offset + 1 < bps && disk->ReadSectors(sb->SegmentBlockSector(seg, offset), block).ok()) {
+      Result<SummaryPeek> peek = PeekSummary(block, sb->block_size);
+      if (!peek.ok() || offset + 1 + peek->nblocks > bps) {
+        break;
+      }
+      partials.push_back(PartialAt{seg, offset, peek->nblocks, peek->seq});
+      offset += 1 + peek->nblocks;
+    }
+  }
+  return partials;
+}
+
+uint64_t MaxSeq(const std::vector<PartialAt>& partials) {
+  uint64_t max_seq = 0;
+  for (const PartialAt& p : partials) {
+    max_seq = std::max(max_seq, p.seq);
+  }
+  return max_seq;
+}
+
+uint64_t SummaryReadsCounted() {
+  return obs::Registry().GetCounter("logfs.recovery.summary_reads").Value();
+}
+
+// Mount reads each summary block once: one walk seeds the block-checksum
+// index and finds the roll-forward candidates. Every partial written after
+// the checkpoint is intact and in sequence, so all of them are rolled.
+TEST(LfsRecoveryTest, MountWalksEachSummaryOnce) {
+  CrashRig rig;
+  uint64_t checkpointed_max_seq = 0;
+  {
+    auto fs = rig.MountFaulty();
+    ASSERT_TRUE(fs.ok());
+    PathFs paths(fs->get());
+    for (int i = 0; i < 6; ++i) {
+      const std::string name = "/pre" + std::to_string(i);
+      ASSERT_TRUE(paths.WriteFile(name, TestBytes(20000, i)).ok());
+      ASSERT_TRUE((*fs)->Fsync(paths.Resolve(name).value()).ok());
+    }
+    ASSERT_TRUE((*fs)->Sync().ok());
+    LfsSuperblock sb;
+    checkpointed_max_seq = MaxSeq(WalkLog(&rig.inner, &sb));
+    for (int i = 0; i < 4; ++i) {
+      const std::string name = "/post" + std::to_string(i);
+      ASSERT_TRUE(paths.WriteFile(name, TestBytes(9000, 10 + i)).ok());
+      ASSERT_TRUE((*fs)->Fsync(paths.Resolve(name).value()).ok());
+    }
+    rig.fault.CrashNow();
+  }
+  rig.fault.Reset();
+  LfsSuperblock sb;
+  const std::vector<PartialAt> partials = WalkLog(&rig.inner, &sb);
+  uint64_t post_checkpoint = 0;
+  for (const PartialAt& p : partials) {
+    post_checkpoint += p.seq > checkpointed_max_seq ? 1 : 0;
+  }
+  ASSERT_GE(post_checkpoint, 4u);
+
+  SummaryReadCounter counter(&rig.inner, sb.block_size);
+  const uint64_t counted0 = SummaryReadsCounted();
+  auto fs = LfsFileSystem::Mount(&counter, &rig.clock, nullptr);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  EXPECT_EQ((*fs)->rolled_forward_partials(), post_checkpoint);
+  EXPECT_EQ(counter.reads().size(), partials.size());
+  for (const auto& [sector, reads] : counter.reads()) {
+    EXPECT_EQ(reads, 1) << "summary block at sector " << sector;
+  }
+  if (obs::kMetricsEnabled) {
+    // The walk also reads the block that ends each segment's chain.
+    EXPECT_GE(SummaryReadsCounted() - counted0, partials.size());
+    EXPECT_LE(SummaryReadsCounted() - counted0, partials.size() + sb.num_segments);
+  }
+  PathFs paths(fs->get());
+  for (int i = 0; i < 4; ++i) {
+    auto back = paths.ReadFile("/post" + std::to_string(i));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, TestBytes(9000, 10 + i));
+  }
+  EXPECT_TRUE(ExpectClean(fs->get()).ok());
+}
+
+// A candidate that fails validation ends its segment's roll-forward, even
+// when a header-valid partial follows it. The follower here is a verbatim
+// copy of the torn partial, so it would validate, and carry the very
+// sequence number recovery needs next, if the segment's scan went on.
+TEST(LfsRecoveryTest, TornCandidateEndsItsSegment) {
+  CrashRig rig;
+  uint64_t checkpointed_max_seq = 0;
+  {
+    auto fs = rig.MountFaulty();
+    ASSERT_TRUE(fs.ok());
+    PathFs paths(fs->get());
+    ASSERT_TRUE(paths.WriteFile("/durable", TestBytes(5000, 1)).ok());
+    ASSERT_TRUE((*fs)->Sync().ok());
+    LfsSuperblock sb;
+    checkpointed_max_seq = MaxSeq(WalkLog(&rig.inner, &sb));
+    ASSERT_TRUE(paths.WriteFile("/after", TestBytes(9000, 2)).ok());
+    ASSERT_TRUE((*fs)->Fsync(paths.Resolve("/after").value()).ok());
+    rig.fault.CrashNow();
+  }
+  rig.fault.Reset();
+  LfsSuperblock sb;
+  const std::vector<PartialAt> partials = WalkLog(&rig.inner, &sb);
+  const PartialAt* first = nullptr;
+  for (const PartialAt& p : partials) {
+    if (p.seq > checkpointed_max_seq && (first == nullptr || p.seq < first->seq)) {
+      first = &p;
+    }
+  }
+  ASSERT_NE(first, nullptr);
+  ASSERT_GT(first->nblocks, 0u);
+  uint32_t chain_end = 0;
+  for (const PartialAt& p : partials) {
+    if (p.segment == first->segment) {
+      chain_end = std::max(chain_end, p.offset + 1 + p.nblocks);
+    }
+  }
+  ASSERT_LE(chain_end + 1 + first->nblocks, sb.BlocksPerSegment());
+
+  // Append a copy of the first post-checkpoint partial to its segment's
+  // chain, then tear the original by damaging its first content block.
+  std::vector<std::byte> copy(static_cast<size_t>(1 + first->nblocks) * sb.block_size);
+  ASSERT_TRUE(
+      rig.inner.ReadSectors(sb.SegmentBlockSector(first->segment, first->offset), copy).ok());
+  ASSERT_TRUE(
+      rig.inner.WriteSectors(sb.SegmentBlockSector(first->segment, chain_end), copy).ok());
+  std::vector<std::byte> content(sb.block_size);
+  const uint64_t content_sector = sb.SegmentBlockSector(first->segment, first->offset + 1);
+  ASSERT_TRUE(rig.inner.ReadSectors(content_sector, content).ok());
+  content[100] ^= std::byte{0xFF};
+  ASSERT_TRUE(rig.inner.WriteSectors(content_sector, content).ok());
+
+  auto fs = rig.Reboot();
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  EXPECT_EQ((*fs)->rolled_forward_partials(), 0u);
+  PathFs paths(fs->get());
+  EXPECT_FALSE(paths.Exists("/after"));
+  auto durable = paths.ReadFile("/durable");
+  ASSERT_TRUE(durable.ok());
+  EXPECT_EQ(*durable, TestBytes(5000, 1));
+  EXPECT_TRUE(ExpectClean(fs->get()).ok());
+}
+
+// The post-roll-forward usage rebuild reads inode blocks and then the
+// single-indirect blocks in address order. Files past the direct pointers
+// (single indirect) and past the single indirect (double indirect) are
+// replayed. The rebuilt table must equal the recount in every segment, hold
+// at least the files' data, and stay exact as the files are deleted (the
+// deletions are charged incrementally, not recounted).
+TEST(LfsRecoveryTest, RebuiltUsageCoversIndirectBlocks) {
+  CrashRig rig;
+  const size_t kSingleBytes = 40 * 4096;             // Past the 12 direct blocks.
+  const size_t kDoubleBytes = (12 + 512 + 40) * 4096;  // Past the single indirect.
+  {
+    auto fs = rig.MountFaulty();
+    ASSERT_TRUE(fs.ok());
+    PathFs paths(fs->get());
+    ASSERT_TRUE((*fs)->Sync().ok());
+    for (int i = 0; i < 4; ++i) {
+      const std::string name = "/single" + std::to_string(i);
+      ASSERT_TRUE(paths.WriteFile(name, TestBytes(kSingleBytes, 20 + i)).ok());
+      ASSERT_TRUE((*fs)->Fsync(paths.Resolve(name).value()).ok());
+    }
+    ASSERT_TRUE(paths.WriteFile("/double", TestBytes(kDoubleBytes, 30)).ok());
+    ASSERT_TRUE((*fs)->Fsync(paths.Resolve("/double").value()).ok());
+    ASSERT_TRUE((*fs)->Fsync(kRootIno).ok());
+    rig.fault.CrashNow();
+  }
+  auto fs = rig.Reboot();
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  EXPECT_GT((*fs)->rolled_forward_partials(), 0u);
+  EXPECT_TRUE(ExpectClean(fs->get()).ok());
+  auto recount = (*fs)->ComputeExactUsage();
+  ASSERT_TRUE(recount.ok());
+  uint64_t rebuilt_bytes = 0;
+  for (uint32_t seg = 0; seg < recount->size(); ++seg) {
+    EXPECT_EQ((*fs)->usage().Get(seg).live_bytes, (*recount)[seg]) << "segment " << seg;
+    rebuilt_bytes += (*fs)->usage().Get(seg).live_bytes;
+  }
+  EXPECT_GE(rebuilt_bytes, 4 * kSingleBytes + kDoubleBytes);
+  PathFs paths(fs->get());
+  for (int i = 0; i < 4; ++i) {
+    const std::string name = "/single" + std::to_string(i);
+    auto back = paths.ReadFile(name);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, TestBytes(kSingleBytes, 20 + i));
+    ASSERT_TRUE(paths.Unlink(name).ok());
+  }
+  auto back = paths.ReadFile("/double");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, TestBytes(kDoubleBytes, 30));
+  ASSERT_TRUE(paths.Unlink("/double").ok());
+  EXPECT_TRUE(ExpectClean(fs->get()).ok());
+}
 
 }  // namespace
 }  // namespace logfs

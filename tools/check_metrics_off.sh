@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-nometrics}"
 
 cmake -B "$BUILD_DIR" -S . -DLOGFS_METRICS=OFF >/dev/null
-cmake --build "$BUILD_DIR" -j
-(cd "$BUILD_DIR" && ctest --output-on-failure -j)
+cmake --build "$BUILD_DIR" -j "$(nproc)"
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
 # The flight-recorder additions must be total no-ops in this configuration:
 # run the sampler tests explicitly (their live-value cases self-skip, the
@@ -22,7 +22,7 @@ cmake --build "$BUILD_DIR" -j
 # telemetry bench still runs and reports metrics_enabled=false with no
 # black box embedded on disk.
 (cd "$BUILD_DIR" && ctest --output-on-failure -R 'sampler_test|obs_test')
-cmake --build "$BUILD_DIR" -j --target bench_telemetry >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_telemetry >/dev/null
 "$BUILD_DIR"/bench/bench_telemetry --smoke --out "$BUILD_DIR"/BENCH_PR5.nometrics.json
 grep -q '"metrics_enabled": false' "$BUILD_DIR"/BENCH_PR5.nometrics.json
 
@@ -31,7 +31,7 @@ grep -q '"metrics_enabled": false' "$BUILD_DIR"/BENCH_PR5.nometrics.json
 # identically. Run its test surface plus the scaling bench in smoke mode —
 # a deterministic simulation, so any behavioural drift fails loudly.
 (cd "$BUILD_DIR" && ctest --output-on-failure -L serve)
-cmake --build "$BUILD_DIR" -j --target bench_serve >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_serve >/dev/null
 "$BUILD_DIR"/bench/bench_serve --smoke --out "$BUILD_DIR"/BENCH_PR6.nometrics.json
 
 # The tracing subsystem compiles out with the rest of src/obs: the trace-
@@ -39,7 +39,7 @@ cmake --build "$BUILD_DIR" -j --target bench_serve >/dev/null
 # still runs and must hold trivially), and the attribution bench must
 # complete with zero traces and report metrics_enabled=false.
 (cd "$BUILD_DIR" && ctest --output-on-failure -R serve_trace_test)
-cmake --build "$BUILD_DIR" -j --target bench_trace_attribution >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_trace_attribution >/dev/null
 "$BUILD_DIR"/bench/bench_trace_attribution --smoke --out "$BUILD_DIR"/BENCH_PR8.nometrics.json
 grep -q '"metrics_enabled": false' "$BUILD_DIR"/BENCH_PR8.nometrics.json
 
@@ -50,7 +50,7 @@ grep -q '"metrics_enabled": false' "$BUILD_DIR"/BENCH_PR8.nometrics.json
 # inspector's intents and check verbs still work: reconciliation is
 # metric-free, check exits nonzero on seeded damage and zero after repair.
 (cd "$BUILD_DIR" && ctest --output-on-failure -R 'sharded_intent_test|sharded_crash_test')
-cmake --build "$BUILD_DIR" -j --target lfs_inspect >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target lfs_inspect >/dev/null
 "$BUILD_DIR"/examples/lfs_inspect intents >/dev/null
 if "$BUILD_DIR"/examples/lfs_inspect check >/dev/null; then
   echo "lfs_inspect check failed to flag seeded damage" >&2
@@ -65,7 +65,7 @@ fi
 # metrics_enabled=false, and the inspector's iostat verb must report the
 # compiled-out configuration (exit 1) rather than an empty table.
 (cd "$BUILD_DIR" && ctest --output-on-failure -R space_observatory_test)
-cmake --build "$BUILD_DIR" -j --target bench_space_observatory >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_space_observatory >/dev/null
 if nm -C "$BUILD_DIR"/bench/bench_space_observatory | grep -q 'obs::RecordWrite\|obs::AttributionSnapshot\|obs::PublishUtilization'; then
   echo "observatory symbols survived LOGFS_METRICS=OFF" >&2
   exit 1

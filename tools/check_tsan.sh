@@ -34,21 +34,21 @@ fi
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DLOGFS_SANITIZE=thread >/dev/null
-cmake --build "$BUILD_DIR" -j --target sharded_concurrent_test --target serve_trace_test \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target sharded_concurrent_test --target serve_trace_test \
   --target serve_test --target serve_crash_test --target obs_test --target sampler_test \
   --target space_observatory_test
 (cd "$BUILD_DIR" && ctest --output-on-failure -L "serve|concurrent|obs")
 
 # The scaling bench is the other genuinely multi-threaded binary; its smoke
 # sweep under TSan covers the shard router + host-latency device path.
-cmake --build "$BUILD_DIR" -j --target bench_shard_scaling >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_shard_scaling >/dev/null
 "$BUILD_DIR"/bench/bench_shard_scaling --smoke --out "$BUILD_DIR"/BENCH_PR7.tsan.json
 
 echo "LOGFS_SANITIZE=thread: concurrent suite + scaling bench race-free"
 
 if [ "$RUN_ASAN" = "1" ]; then
   cmake -B build-asan -S . -DLOGFS_SANITIZE=address,undefined >/dev/null
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   (cd build-asan && ctest --output-on-failure -L "crash|fault|serve|concurrent|obs")
   echo "LOGFS_SANITIZE=address,undefined: crash|fault|serve|concurrent|obs sweep clean"
 fi
